@@ -2,18 +2,17 @@
 
 * **Monotonicity pruning** (Section 3.2): the pruned U-/I-Explore vs.
   the exhaustive oracle over the same candidate space.
-* **Static-attribute fast path** (Section 4.2): the direct grouping
-  implementation vs. running the general unpivot/dedup pipeline on a
-  static attribute.
 * **Materialization granularity** (Section 4.3): deriving a union(ALL)
   aggregate from per-point aggregates vs. recomputing, at two interval
   lengths (the crossover the partial-materialization argument rests on).
+* **Vectorized engine**: the production ``aggregate`` vs. the literal
+  Algorithm 2 transcription, which lives in ``repro.testing`` as the
+  engine's differential oracle.
 """
 
 import pytest
 
 from repro.core import aggregate, union
-from repro.core.aggregation import _aggregate_general, _aggregate_static_fast
 from repro.exploration import (
     EventType,
     ExtendSide,
@@ -22,6 +21,7 @@ from repro.exploration import (
     explore,
 )
 from repro.materialize import MaterializedStore
+from repro.testing import aggregate_algorithm2
 
 
 class TestPruningAblation:
@@ -52,22 +52,6 @@ class TestPruningAblation:
         assert pruned.pairs == oracle.pairs
 
 
-class TestStaticFastPathAblation:
-    @pytest.mark.parametrize("path", ["fast", "general"])
-    def test_union_window_gender(self, benchmark, dblp, path):
-        times = dblp.timeline.labels
-        fn = _aggregate_static_fast if path == "fast" else _aggregate_general
-        result = benchmark(fn, dblp, ["gender"], times, True)
-        assert result.total_node_weight() > 0
-
-    def test_paths_agree(self, dblp):
-        times = dblp.timeline.labels[:8]
-        fast = _aggregate_static_fast(dblp, ["gender"], times, False)
-        general = _aggregate_general(dblp, ["gender"], times, False)
-        assert dict(fast.node_weights) == dict(general.node_weights)
-        assert dict(fast.edge_weights) == dict(general.edge_weights)
-
-
 class TestMaterializationGranularity:
     @pytest.mark.parametrize("length", [3, 21])
     @pytest.mark.parametrize("source", ["scratch", "materialized"])
@@ -90,19 +74,15 @@ class TestVectorizedEngineAblation:
     @pytest.mark.parametrize("engine", ["algorithm2", "vectorized"])
     @pytest.mark.parametrize("attr", ["gender", "publications"])
     def test_union_window(self, benchmark, dblp, engine, attr):
-        from repro.core import aggregate_fast
-
         window = dblp.timeline.labels
         sub = union(dblp, window)
-        fn = aggregate if engine == "algorithm2" else aggregate_fast
+        fn = aggregate_algorithm2 if engine == "algorithm2" else aggregate
         result = benchmark(fn, sub, [attr], False)
         assert result.total_node_weight() > 0
 
     @pytest.mark.parametrize("engine", ["algorithm2", "vectorized"])
     def test_movielens_varying(self, benchmark, movielens, engine):
-        from repro.core import aggregate_fast
-
         sub = union(movielens, movielens.timeline.labels)
-        fn = aggregate if engine == "algorithm2" else aggregate_fast
+        fn = aggregate_algorithm2 if engine == "algorithm2" else aggregate
         result = benchmark(fn, sub, ["rating"], True)
         assert result.total_node_weight() > 0

@@ -1,4 +1,4 @@
-"""Attribute aggregation of temporal graphs (Definition 2.6, Algorithm 2).
+"""Attribute aggregation of temporal graphs (Definition 2.6).
 
 Aggregation groups nodes by the values of one or more attributes and
 builds weighted aggregate nodes/edges with COUNT weights.  Two variants
@@ -10,17 +10,27 @@ exist (Section 2.2):
 * **non-distinct** (``ALL``) — every appearance at every time point
   counts.
 
-When every aggregation attribute is static the expensive unpivot /
-deduplicate pipeline is unnecessary, and the implementation switches to
-the fast path of Section 4.2 (direct grouping; for ALL, presence-column
-counts are summed instead of counting long-format rows).
+:func:`aggregate` is a vectorized engine over integer codes, following
+the single-machine array model of Kairos rather than Algorithm 2's
+relational pipeline.  The present ``(node, time)`` cells of the window
+are found with one ``nonzero`` over the presence block; only those cells
+are factorized, attribute by attribute, and the per-attribute codes are
+folded into one dense tuple code per appearance.  DIST deduplication is
+then a ``numpy.unique`` over ``(entity, tuple code)`` keys and counting
+is a ``numpy.bincount``; edges look their endpoints' tuple codes up in a
+``(node row, time)`` code grid.  Every key stays below the square of the
+number of appearances, so wide attribute domains cannot overflow.
+
+The literal Algorithm 2 transcription (unpivot / merge / deduplicate /
+group-count over relational tables) lives in :mod:`repro.testing` as the
+differential oracle this engine is fuzzed against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -36,7 +46,6 @@ from ..errors import AggregationError, UnknownLabelError
 __all__ = [
     "AggregateGraph",
     "aggregate",
-    "aggregate_general",
     "check_no_dangling_edges",
     "validated_window",
     "AttributeTuple",
@@ -47,25 +56,36 @@ __all__ = [
 def check_no_dangling_edges(graph: TemporalGraph) -> None:
     """Raise :class:`AggregationError` if any edge lacks a node row.
 
-    All three aggregation engines share this contract: a dangling edge is
-    a structural defect of the graph and fails loudly, independently of
-    whether the edge happens to be present inside the aggregation window.
-    (The differential fuzz oracle relies on the engines agreeing on
-    errors as much as on weights.)
+    The aggregation engine and its Algorithm-2 oracle share this
+    contract: a dangling edge is a structural defect of the graph and
+    fails loudly, independently of whether the edge happens to be present
+    inside the aggregation window.  (The differential fuzz oracle relies
+    on the engines agreeing on errors as much as on weights.)
 
-    The scan goes through the storage backend's ``adjacency_scan``, so
-    it works on any registered layout and names the backend it ran on.
+    The check reads the storage backend's cached
+    :meth:`~repro.storage.GraphStorageBackend.edge_endpoint_rows`, so it
+    costs one array scan per call on any registered layout and names the
+    backend it ran on.
     """
     backend = graph.storage
-    for edge, u_row, v_row in backend.adjacency_scan():
-        if u_row < 0 or v_row < 0:
-            u, v = edge  # type: ignore[misc]
-            missing = u if u_row < 0 else v
-            raise AggregationError(
-                f"edge {edge!r} references node {missing!r} absent from "
-                "node presence; the graph has dangling edges "
-                f"(storage backend {backend.name!r})"
-            )
+    sources, targets = backend.edge_endpoint_rows()
+    broken = np.flatnonzero((sources < 0) | (targets < 0))
+    if not broken.size:
+        return
+    row = int(broken[0])
+    edge = backend.edge_labels[row]
+    if not (isinstance(edge, tuple) and len(edge) == 2):
+        raise AggregationError(
+            f"edge {edge!r} is not a (source, target) pair "
+            f"(storage backend {backend.name!r})"
+        )
+    missing = edge[0] if sources[row] < 0 else edge[1]
+    raise AggregationError(
+        f"edge {edge!r} references node {missing!r} absent from "
+        "node presence; the graph has dangling edges "
+        f"(storage backend {backend.name!r})"
+    )
+
 
 #: One aggregate node: the tuple of attribute values that defines it.
 AttributeTuple = tuple[Any, ...]
@@ -240,19 +260,6 @@ class AggregateGraph:
         )
 
 
-def _split_attributes(
-    graph: TemporalGraph, attributes: Sequence[str]
-) -> tuple[list[str], list[str]]:
-    """Partition into (static, varying), validating names."""
-    static, varying = [], []
-    for name in attributes:
-        if graph.is_static(name):
-            static.append(name)
-        else:
-            varying.append(name)
-    return static, varying
-
-
 def _node_tuple_table(
     graph: TemporalGraph,
     attributes: Sequence[str],
@@ -263,19 +270,22 @@ def _node_tuple_table(
 
     One row per (node, time point) where the node is present, carrying the
     node's attribute tuple at that time — the merged, unpivoted ``A'`` of
-    Algorithm 2 (before any deduplication).  ``rows`` restricts the scan
-    to a subset of node row indices (the parallel partials' unit of
-    work); ``None`` scans every node.
+    Algorithm 2 (before any deduplication).  Measure aggregation and the
+    Algorithm-2 oracle build on it.  ``rows`` restricts the scan to a
+    subset of node row indices; ``None`` scans every node.
     """
-    static_names, varying_names = _split_attributes(graph, attributes)
     time_positions = [graph.timeline.index_of(t) for t in times]
     static_positions = {
-        name: graph.static_attrs.col_position(name) for name in static_names
+        name: graph.static_attrs.col_position(name)
+        for name in attributes
+        if graph.is_static(name)
     }
     rows_out: list[tuple[Any, ...]] = []
     presence = graph.node_presence.values
     varying_values = {
-        name: graph.varying_attrs[name].values for name in varying_names
+        name: graph.varying_attrs[name].values
+        for name in attributes
+        if name not in static_positions
     }
     static_values = graph.static_attrs.values
     node_labels = graph.node_presence.row_labels
@@ -299,321 +309,285 @@ def _node_tuple_table(
     return Table(("id", "t", "tuple"), rows_out)
 
 
-def _aggregate_general(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-) -> AggregateGraph:
-    """Algorithm 2: the general path used when a time-varying attribute
-    participates (also correct, just slower, for static-only input)."""
-    metrics = get_metrics()
-    with trace_span("aggregate.unpivot"):
-        node_table = _node_tuple_table(graph, attributes, times)
-    metrics.inc("algo2.unpivot_rows", len(node_table))
-    lookup: dict[tuple[Any, Any], AttributeTuple] = {
-        (node, t): values for node, t, values in node_table.rows
-    }
-    if distinct:
-        with trace_span("aggregate.dedup"):
-            node_table = node_table.deduplicate(["id", "tuple"])
-        metrics.inc("algo2.dedup_rows", len(node_table))
-    with trace_span("aggregate.group_count"):
-        node_weights = {
-            key[0]: count
-            for key, count in node_table.groupby_count(["tuple"]).items()
-        }
-    metrics.inc("algo2.group_count_groups", len(node_weights))
+# ----------------------------------------------------------------------
+# The vectorized kernel
+# ----------------------------------------------------------------------
 
-    with trace_span("aggregate.merge"):
-        edge_rows: list[tuple[Any, ...]] = []
-        edge_presence = graph.edge_presence.values
-        time_positions = [graph.timeline.index_of(t) for t in times]
-        check_no_dangling_edges(graph)
-        for row_idx, edge in enumerate(graph.edge_presence.row_labels):
-            u, v = edge  # type: ignore[misc]
-            for t, t_pos in zip(times, time_positions):
-                if not edge_presence[row_idx, t_pos]:
-                    continue
-                source = lookup.get((u, t))
-                target = lookup.get((v, t))
-                if source is None or target is None:
-                    continue  # endpoint absent at t; cannot happen on valid graphs
-                edge_rows.append((edge, source, target))
-        edge_table = Table(("edge", "source", "target"), edge_rows)
-    metrics.inc("algo2.merge_rows", len(edge_table))
-    if distinct:
-        with trace_span("aggregate.dedup"):
-            edge_table = edge_table.deduplicate(["edge", "source", "target"])
-        metrics.inc("algo2.dedup_rows", len(edge_table))
-    with trace_span("aggregate.group_count"):
-        edge_weights = {
-            (key[0], key[1]): count
-            for key, count in edge_table.groupby_count(["source", "target"]).items()
-        }
-    metrics.inc("algo2.group_count_groups", len(edge_weights))
-    return AggregateGraph(tuple(attributes), node_weights, edge_weights, distinct=distinct)
+#: Mixed-radix tuple codes are re-densified before a multiplication
+#: could leave int64.
+_CODE_LIMIT = 1 << 62
 
 
-def _aggregate_static_fast(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-) -> AggregateGraph:
-    """Section 4.2's optimization for static-only attribute lists.
+class _TupleCodes(NamedTuple):
+    """Dense attribute-tuple codes of the present node appearances.
 
-    No unpivoting and no deduplication: a node has one tuple regardless of
-    time.  DIST counts qualifying nodes/edges once; ALL weights each by
-    its number of presence columns inside ``times`` and sums.
+    One entry per present ``(node row, window column)`` cell, in
+    row-major order.  ``entity`` numbers the distinct present nodes
+    ``0..n-1`` (the DIST deduplication unit); ``codes`` are dense tuple
+    codes ``0..len(tuples)-1`` and ``tuples[code]`` decodes one.
     """
-    check_no_dangling_edges(graph)
-    positions = [graph.static_attrs.col_position(name) for name in attributes]
-    static_values = graph.static_attrs.values
-    node_tuples: dict[Hashable, AttributeTuple] = {
-        node: tuple(static_values[i, p] for p in positions)
-        for i, node in enumerate(graph.node_presence.row_labels)
-    }
-    node_counts = graph.node_presence.count_nonzero_by_row(times)
-    node_weights: dict[AttributeTuple, int] = {}
-    for node, appearances in node_counts.items():
-        if appearances == 0:
-            continue
-        contribution = 1 if distinct else appearances
-        key = node_tuples[node]
-        node_weights[key] = node_weights.get(key, 0) + contribution
 
-    edge_counts = graph.edge_presence.count_nonzero_by_row(times)
-    edge_weights: dict[EdgeKey, int] = {}
-    for edge, appearances in edge_counts.items():
-        if appearances == 0:
-            continue
-        u, v = edge  # type: ignore[misc]
-        contribution = 1 if distinct else appearances
-        key = (node_tuples[u], node_tuples[v])
-        edge_weights[key] = edge_weights.get(key, 0) + contribution
-    return AggregateGraph(tuple(attributes), node_weights, edge_weights, distinct=distinct)
+    rows: np.ndarray
+    cols: np.ndarray
+    entity: np.ndarray
+    codes: np.ndarray
+    tuples: list[AttributeTuple]
+
+
+def _window_positions(graph: TemporalGraph, window: TimeSet) -> np.ndarray:
+    """Timeline column index of every window label."""
+    return np.fromiter(
+        (graph.timeline.index_of(t) for t in window),
+        dtype=np.intp,
+        count=len(window),
+    )
+
+
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, list[Any]]:
+    """First-seen integer codes of a 1-D value array, plus the values.
+
+    ``None`` is a value like any other: a present node without a
+    time-varying value is grouped under ``None``, as Algorithm 2 groups
+    it.  Values are matched by equality, as Algorithm 2's relational
+    group-by matches them.
+    """
+    mapping: dict[Any, int] = {}
+    codes = np.fromiter(
+        (mapping.setdefault(value, len(mapping)) for value in values.tolist()),
+        dtype=np.int64,
+        count=len(values),
+    )
+    return codes, list(mapping)
+
+
+def _tuple_codes(
+    graph: TemporalGraph,
+    attributes: Sequence[str],
+    positions: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> _TupleCodes:
+    """Factorize the present appearances of ``rows`` (default: every
+    node) over the timeline columns ``positions``.
+
+    Only present cells are read.  A static attribute is factorized once
+    per present node and broadcast to that node's appearances; a
+    time-varying one per appearance.  The per-attribute codes are folded
+    into one mixed-radix code and densified with ``numpy.unique``, which
+    also yields one representative appearance per tuple to decode.
+    """
+    presence = graph.node_presence.values
+    block = (
+        presence[:, positions]
+        if rows is None
+        else presence[np.ix_(rows, positions)]
+    )
+    local, cols = np.nonzero(block)
+    present = block.any(axis=1)
+    entity = (np.cumsum(present) - 1)[local]
+    present_rows = np.flatnonzero(present)
+    if rows is not None:
+        local = rows[local]
+        present_rows = rows[present_rows]
+
+    layers: list[tuple[np.ndarray, list[Any]]] = []
+    for name in attributes:
+        if graph.is_static(name):
+            column = graph.static_attrs.values[
+                present_rows, graph.static_attrs.col_position(name)
+            ]
+            codes, values = _factorize(column)
+            layers.append((codes[entity], values))
+        else:
+            cells = graph.varying_attrs[name].values[local, positions[cols]]
+            layers.append(_factorize(cells))
+
+    combined = np.zeros(len(local), dtype=np.int64)
+    ceiling = 1
+    for codes, values in layers:
+        radix = max(len(values), 1)
+        if ceiling > _CODE_LIMIT // radix:
+            _, combined = np.unique(combined, return_inverse=True)
+            ceiling = len(local)
+        combined = combined * radix + codes
+        ceiling *= radix
+    _, first, dense = np.unique(combined, return_index=True, return_inverse=True)
+    decoded = [
+        [values[code] for code in codes[first].tolist()]
+        for codes, values in layers
+    ]
+    return _TupleCodes(
+        rows=local,
+        cols=cols,
+        entity=entity,
+        codes=dense.reshape(-1),
+        tuples=list(zip(*decoded)),
+    )
+
+
+def _edge_appearances(
+    graph: TemporalGraph,
+    node_codes: _TupleCodes,
+    positions: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(edge row, window column, source code, target code)`` per edge
+    appearance of edge rows ``[start, stop)`` over ``positions``.
+
+    An appearance is kept when both endpoints are present at that time
+    with a tuple code in ``node_codes``.  A dangling endpoint (row
+    ``-1``) is skipped, as is an endpoint absent at the edge's time:
+    Algorithm 2's merge finds no tuple for either.
+    """
+    sources, targets = graph.storage.edge_endpoint_rows()
+    sources, targets = sources[start:stop], targets[start:stop]
+    block = graph.edge_presence.values[start:stop][:, positions]
+    edge_rows, cols = np.nonzero(block)
+    known = (sources[edge_rows] >= 0) & (targets[edge_rows] >= 0)
+    edge_rows, cols = edge_rows[known], cols[known]
+    grid = np.full((graph.n_nodes, len(positions)), -1, dtype=np.int64)
+    grid[node_codes.rows, node_codes.cols] = node_codes.codes
+    source_codes = grid[sources[edge_rows], cols]
+    target_codes = grid[targets[edge_rows], cols]
+    keep = (source_codes >= 0) & (target_codes >= 0)
+    return (
+        edge_rows[keep] + start,
+        cols[keep],
+        source_codes[keep],
+        target_codes[keep],
+    )
+
+
+def _count(
+    entity: np.ndarray, codes: np.ndarray, radix: int, distinct: bool
+) -> np.ndarray:
+    """COUNT per code; DIST counts each ``(entity, code)`` pair once."""
+    if not radix:
+        return np.zeros(0, dtype=np.int64)
+    if distinct:
+        codes = np.unique(entity.astype(np.int64) * radix + codes) % radix
+    return np.bincount(codes, minlength=radix)
+
+
+def _weights(
+    graph: TemporalGraph,
+    attributes: Sequence[str],
+    window: TimeSet,
+    distinct: bool,
+    task: _PartialTask | None = None,
+) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
+    """The kernel: ``(node weights, edge weights)`` of the whole graph, or
+    of one ``(kind, start, stop)`` row-range task.
+
+    A ``"node"`` task counts node rows ``[start, stop)`` only; an
+    ``"edge"`` task counts edge rows ``[start, stop)`` only and
+    factorizes just their endpoint node rows.
+    """
+    kind, start, stop = task or ("all", 0, graph.n_edges)
+    positions = _window_positions(graph, window)
+    rows: np.ndarray | None = None
+    if kind == "node":
+        rows = np.arange(start, stop)
+    elif kind == "edge":
+        sources, targets = graph.storage.edge_endpoint_rows()
+        rows = np.unique(
+            np.concatenate((sources[start:stop], targets[start:stop]))
+        )
+        rows = rows[rows >= 0]
+    metrics = get_metrics()
+    with trace_span("aggregate.factorize"):
+        node_codes = _tuple_codes(graph, attributes, positions, rows)
+    radix = len(node_codes.tuples)
+    node_counts = pairs = pair_counts = np.zeros(0, dtype=np.int64)
+    with trace_span("aggregate.count"):
+        if kind != "edge":
+            metrics.inc("aggregate.appearances", len(node_codes.codes))
+            node_counts = _count(
+                node_codes.entity, node_codes.codes, radix, distinct
+            )
+        if kind != "node":
+            edge_rows, _, sources, targets = _edge_appearances(
+                graph, node_codes, positions, start, stop
+            )
+            metrics.inc("aggregate.appearances", len(edge_rows))
+            pairs, pair_codes = np.unique(
+                sources * radix + targets, return_inverse=True
+            )
+            pair_counts = _count(
+                edge_rows, pair_codes.reshape(-1), len(pairs), distinct
+            )
+    with trace_span("aggregate.assemble"):
+        tuples = node_codes.tuples
+        node_weights = dict(zip(tuples, node_counts.tolist()))
+        pair_sources, pair_targets = np.divmod(pairs, max(radix, 1))
+        edge_weights = {
+            (tuples[source], tuples[target]): count
+            for source, target, count in zip(
+                pair_sources.tolist(), pair_targets.tolist(), pair_counts.tolist()
+            )
+        }
+    return node_weights, edge_weights
 
 
 # ----------------------------------------------------------------------
 # Parallel partials
 #
-# Both engines decompose over *entity rows*: a node's (or edge's)
+# The kernel decomposes over *entity rows*: a node's (or edge's)
 # contribution to the weight maps depends only on its own presence row
-# and attribute values, and DIST deduplication is always intra-entity
-# (``["id", "tuple"]`` / ``["edge", "source", "target"]`` both carry the
-# entity label).  Partitioning the row range therefore never splits a
-# dedup group across chunks, and partial weight dicts merge by plain
-# summation for DIST and ALL alike — which is what makes the parallel
-# result bit-identical to the serial one.
+# and attribute values, and DIST deduplication is always intra-entity.
+# Partitioning the row range therefore never splits a dedup group across
+# chunks, and partial weight dicts merge by plain summation for DIST and
+# ALL alike — which is what makes the parallel result bit-identical to
+# the serial one.
 # ----------------------------------------------------------------------
 
-#: ``(graph, attributes, window, distinct, engine)`` — the read-only
-#: payload shared with every partial worker.
-_PartialPayload = tuple[TemporalGraph, tuple[str, ...], TimeSet, bool, str]
+#: ``(graph, attributes, window, distinct)`` — the read-only payload
+#: shared with every partial worker.
+_PartialPayload = tuple[TemporalGraph, tuple[str, ...], TimeSet, bool]
 #: ``(kind, start, stop)`` — one slice of node or edge row indices.
 _PartialTask = tuple[str, int, int]
 
 
-def _general_node_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[AttributeTuple, int]:
-    """Algorithm 2's node pipeline restricted to rows ``[start, stop)``."""
-    metrics = get_metrics()
-    table = _node_tuple_table(graph, attributes, times, rows=range(start, stop))
-    metrics.inc("algo2.unpivot_rows", len(table))
-    if distinct:
-        table = table.deduplicate(["id", "tuple"])
-        metrics.inc("algo2.dedup_rows", len(table))
-    return {
-        key[0]: count for key, count in table.groupby_count(["tuple"]).items()
-    }
-
-
-def _general_edge_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[EdgeKey, int]:
-    """Algorithm 2's merge/count pipeline restricted to edge rows.
-
-    The ``(node, t) -> tuple`` lookup is rebuilt from just the chunk's
-    endpoint node rows, so a chunk's cost scales with its own edges
-    rather than with the whole graph.
-    """
-    metrics = get_metrics()
-    edge_labels = graph.edge_presence.row_labels
-    endpoint_rows: set[int] = set()
-    for row_idx in range(start, stop):
-        u, v = edge_labels[row_idx]  # type: ignore[misc]
-        endpoint_rows.add(graph.node_presence.row_position(u))
-        endpoint_rows.add(graph.node_presence.row_position(v))
-    node_table = _node_tuple_table(
-        graph, attributes, times, rows=sorted(endpoint_rows)
-    )
-    lookup: dict[tuple[Any, Any], AttributeTuple] = {
-        (node, t): values for node, t, values in node_table.rows
-    }
-    edge_presence = graph.edge_presence.values
-    time_positions = [graph.timeline.index_of(t) for t in times]
-    edge_rows: list[tuple[Any, ...]] = []
-    for row_idx in range(start, stop):
-        edge = edge_labels[row_idx]
-        u, v = edge  # type: ignore[misc]
-        for t, t_pos in zip(times, time_positions):
-            if not edge_presence[row_idx, t_pos]:
-                continue
-            source = lookup.get((u, t))
-            target = lookup.get((v, t))
-            if source is None or target is None:
-                continue  # endpoint absent at t; cannot happen on valid graphs
-            edge_rows.append((edge, source, target))
-    table = Table(("edge", "source", "target"), edge_rows)
-    metrics.inc("algo2.merge_rows", len(table))
-    if distinct:
-        table = table.deduplicate(["edge", "source", "target"])
-        metrics.inc("algo2.dedup_rows", len(table))
-    return {
-        (key[0], key[1]): count
-        for key, count in table.groupby_count(["source", "target"]).items()
-    }
-
-
-def _static_node_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[AttributeTuple, int]:
-    """The Section 4.2 node fast path restricted to rows ``[start, stop)``."""
-    positions = [graph.static_attrs.col_position(name) for name in attributes]
-    static_values = graph.static_attrs.values
-    time_positions = [graph.node_presence.col_position(t) for t in times]
-    block = graph.node_presence.values[start:stop][:, time_positions]
-    counts = np.count_nonzero(block.astype(bool), axis=1)
-    weights: dict[AttributeTuple, int] = {}
-    for offset in range(stop - start):
-        appearances = int(counts[offset])
-        if appearances == 0:
-            continue
-        row_idx = start + offset
-        key = tuple(static_values[row_idx, p] for p in positions)
-        weights[key] = weights.get(key, 0) + (1 if distinct else appearances)
-    return weights
-
-
-def _static_edge_partial(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    distinct: bool,
-    start: int,
-    stop: int,
-) -> dict[EdgeKey, int]:
-    """The Section 4.2 edge fast path restricted to rows ``[start, stop)``."""
-    positions = [graph.static_attrs.col_position(name) for name in attributes]
-    static_values = graph.static_attrs.values
-    node_frame = graph.node_presence
-    edge_labels = graph.edge_presence.row_labels
-    time_positions = [graph.edge_presence.col_position(t) for t in times]
-    block = graph.edge_presence.values[start:stop][:, time_positions]
-    counts = np.count_nonzero(block.astype(bool), axis=1)
-    tuple_cache: dict[Hashable, AttributeTuple] = {}
-
-    def node_tuple(node: Hashable) -> AttributeTuple:
-        cached = tuple_cache.get(node)
-        if cached is None:
-            row = node_frame.row_position(node)
-            cached = tuple_cache[node] = tuple(
-                static_values[row, p] for p in positions
-            )
-        return cached
-
-    weights: dict[EdgeKey, int] = {}
-    for offset in range(stop - start):
-        appearances = int(counts[offset])
-        if appearances == 0:
-            continue
-        u, v = edge_labels[start + offset]  # type: ignore[misc]
-        key = (node_tuple(u), node_tuple(v))
-        weights[key] = weights.get(key, 0) + (1 if distinct else appearances)
-    return weights
-
-
 def _partial_weights(
     payload: _PartialPayload, task: _PartialTask
-) -> dict[Any, int]:
+) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
     """Chunk worker: the weights contributed by one slice of entity rows.
 
     Module-level (and closed over nothing) so the process pool can pickle
     it; :class:`~repro.parallel.InlineExecutor` runs the very same
     function, which is what the parity suite leans on.
     """
-    graph, attributes, times, distinct, engine = payload
-    kind, start, stop = task
-    if engine == "general":
-        if kind == "node":
-            return _general_node_partial(
-                graph, attributes, times, distinct, start, stop
-            )
-        return _general_edge_partial(
-            graph, attributes, times, distinct, start, stop
-        )
-    if kind == "node":
-        return _static_node_partial(graph, attributes, times, distinct, start, stop)
-    return _static_edge_partial(graph, attributes, times, distinct, start, stop)
+    graph, attributes, window, distinct = payload
+    return _weights(graph, attributes, window, distinct, task)
 
 
-def _aggregate_parallel(
+def _weights_parallel(
     graph: TemporalGraph,
     attributes: Sequence[str],
-    times: TimeSet,
+    window: TimeSet,
     distinct: bool,
-    engine: str,
     executor: Executor,
-) -> AggregateGraph:
-    """Fan the partial worker out over entity-row slices and merge.
-
-    Structural validation happens parent-side before dispatch so a
-    dangling edge raises the same :class:`AggregationError` whether or
-    not a pool is in play.
-    """
-    check_no_dangling_edges(graph)
-    n_nodes = len(graph.node_presence.row_labels)
-    n_edges = len(graph.edge_presence.row_labels)
+) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
+    """Fan the kernel out over entity-row slices and merge."""
     tasks: list[_PartialTask] = [
         ("node", chunk.start, chunk.stop)
-        for chunk in plan_chunks(n_nodes, executor.workers)
+        for chunk in plan_chunks(graph.n_nodes, executor.workers)
     ]
     tasks += [
         ("edge", chunk.start, chunk.stop)
-        for chunk in plan_chunks(n_edges, executor.workers)
+        for chunk in plan_chunks(graph.n_edges, executor.workers)
     ]
-    payload: _PartialPayload = (graph, tuple(attributes), times, distinct, engine)
-    partials = executor.map(_partial_weights, tasks, payload)
+    payload: _PartialPayload = (graph, tuple(attributes), window, distinct)
     node_weights: dict[AttributeTuple, int] = {}
     edge_weights: dict[EdgeKey, int] = {}
-    for (kind, _, _), partial in zip(tasks, partials):
-        target: dict[Any, int] = node_weights if kind == "node" else edge_weights
-        for key, weight in partial.items():
-            target[key] = target.get(key, 0) + weight
-    if engine == "general":
-        get_metrics().inc(
-            "algo2.group_count_groups", len(node_weights) + len(edge_weights)
-        )
-    return AggregateGraph(
-        tuple(attributes), node_weights, edge_weights, distinct=distinct
-    )
+    for partial_nodes, partial_edges in executor.map(
+        _partial_weights, tasks, payload
+    ):
+        for key, weight in partial_nodes.items():
+            node_weights[key] = node_weights.get(key, 0) + weight
+        for edge_key, weight in partial_edges.items():
+            edge_weights[edge_key] = edge_weights.get(edge_key, 0) + weight
+    return node_weights, edge_weights
 
 
 def aggregate(
@@ -638,6 +612,8 @@ def aggregate(
     times:
         Time points to aggregate over; defaults to the graph's whole
         timeline (which, for operator outputs, is the operator's interval).
+        Aggregating a graph over a window equals aggregating its union
+        over that window.
     parallelism:
         ``None`` (ambient default — see :mod:`repro.parallel`), a worker
         count, or ``"auto"``.  Implicit defaults only engage the pool
@@ -650,10 +626,9 @@ def aggregate(
         COUNT-weighted aggregate nodes and edges.
     """
     window = validated_window(graph, attributes, times)
-    _, varying = _split_attributes(graph, attributes)
-    metrics = get_metrics()
-    metrics.inc("aggregate.calls")
-    engine = "general" if varying else "static_fast"
+    for name in attributes:
+        graph.is_static(name)  # validates names
+    get_metrics().inc("aggregate.calls")
     n_entities = len(graph.node_presence.row_labels) + len(
         graph.edge_presence.row_labels
     )
@@ -662,19 +637,28 @@ def aggregate(
     )
     with trace_span(
         "aggregate",
-        engine=engine,
         distinct=distinct,
         attributes=tuple(attributes),
         n_times=len(window),
         workers=executor.workers,
     ):
-        if not isinstance(executor, InlineExecutor):
-            return _aggregate_parallel(
-                graph, attributes, window, distinct, engine, executor
+        # Structural validation happens parent-side before any dispatch,
+        # so a dangling edge raises the same error with or without a pool.
+        check_no_dangling_edges(graph)
+        if isinstance(executor, InlineExecutor):
+            node_weights, edge_weights = _weights(
+                graph, attributes, window, distinct
             )
-        if varying:
-            return _aggregate_general(graph, attributes, window, distinct)
-        return _aggregate_static_fast(graph, attributes, window, distinct)
+        else:
+            node_weights, edge_weights = _weights_parallel(
+                graph, attributes, window, distinct, executor
+            )
+        get_metrics().inc(
+            "aggregate.groups", len(node_weights) + len(edge_weights)
+        )
+        return AggregateGraph(
+            tuple(attributes), node_weights, edge_weights, distinct=distinct
+        )
 
 
 def validated_window(
@@ -682,7 +666,7 @@ def validated_window(
     attributes: Sequence[str],
     times: Iterable[Hashable] | None,
 ) -> TimeSet:
-    """Shared argument validation for every aggregation engine.
+    """Shared argument validation for the engine and its oracles.
 
     Checks the attribute list is non-empty and duplicate-free, and
     normalizes ``times`` to timeline order without duplicates: repeated
@@ -696,32 +680,3 @@ def validated_window(
     if times is None:
         return graph.timeline.labels
     return ordered_times(graph, times)
-
-
-def aggregate_general(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    distinct: bool = True,
-    times: Iterable[Hashable] | None = None,
-) -> AggregateGraph:
-    """Algorithm 2's general path, forced even for static-only attributes.
-
-    :func:`aggregate` switches to the Section 4.2 fast path when every
-    aggregation attribute is static; this entry point always runs the
-    unpivot / merge / deduplicate / group-count pipeline instead.  Both
-    must produce identical aggregates — the differential fuzz oracle
-    (:mod:`repro.testing`) runs workloads through this engine, the
-    dispatching one, and :func:`repro.core.aggregate_fast` and diffs the
-    results bit-exactly.
-    """
-    window = validated_window(graph, attributes, times)
-    _split_attributes(graph, attributes)  # validates names
-    get_metrics().inc("aggregate.calls")
-    with trace_span(
-        "aggregate",
-        engine="general_forced",
-        distinct=distinct,
-        attributes=tuple(attributes),
-        n_times=len(window),
-    ):
-        return _aggregate_general(graph, attributes, window, distinct)

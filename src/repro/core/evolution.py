@@ -22,11 +22,22 @@ from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .aggregation import AttributeTuple, EdgeKey, _node_tuple_table
+import numpy as np
+
+from .aggregation import (
+    AttributeTuple,
+    EdgeKey,
+    _edge_appearances,
+    _node_tuple_table,
+    _tuple_codes,
+    _window_positions,
+)
 from .graph import TemporalGraph
 from .intervals import TimeSet
 from .operators import difference, intersection, ordered_times
 from ..errors import ValidationError
+from ..obs.metrics import get_metrics
+from ..obs.trace import trace_span
 
 __all__ = [
     "EvolutionGraph",
@@ -211,7 +222,12 @@ def _appearance_sets(
     set[tuple[Hashable, AttributeTuple]],
     set[tuple[tuple[Hashable, Hashable], EdgeKey]],
 ]:
-    """Distinct (entity, tuple) appearances over a time window."""
+    """Distinct (entity, tuple) appearances over a time window, as sets.
+
+    The set-based form of Fig. 4b's unit of counting: the reference
+    evolution engine in :mod:`repro.testing` reduces these sets, and
+    :class:`repro.streaming.EvolutionView` seeds its counters from them.
+    """
     node_table = _node_tuple_table(graph, attributes, times)
     node_appearances = {(node, values) for node, _, values in node_table.rows}
     lookup = {(node, t): values for node, t, values in node_table.rows}
@@ -231,31 +247,37 @@ def _appearance_sets(
     return node_appearances, edge_appearances
 
 
-def _weights_from_appearances(
-    old: set[tuple[Any, Any]],
-    new: set[tuple[Any, Any]],
+def _event_weights(
+    keys: np.ndarray,
+    in_old: np.ndarray,
+    in_new: np.ndarray,
+    labels: Sequence[Any],
 ) -> dict[Any, EvolutionWeights]:
-    """Per-tuple event weights from two (entity, tuple) appearance sets.
+    """Per-label event weights from ``entity * len(labels) + code`` keys.
 
-    The unit of counting is the appearance: stability for pairs in both
-    windows, growth for new-only, shrinkage for old-only, each keyed by
-    the appearance's attribute tuple.  Shared by
-    :func:`aggregate_evolution` and the delta-maintained
-    :class:`repro.streaming.EvolutionView`, so both produce bit-identical
-    weights from identical sets.
+    ``in_old`` / ``in_new`` flag which appearances fall in each window.
+    The distinct keys of each window are split into stability (both),
+    growth (new only) and shrinkage (old only), and each class is counted
+    per code with one ``bincount``; ``labels[code]`` names the code.
     """
-    counters: dict[Any, dict[str, int]] = {}
-
-    def bump(pairs: set[tuple[Any, Any]], kind: str) -> None:
-        for _, key in pairs:
-            counters.setdefault(
-                key, {"stability": 0, "growth": 0, "shrinkage": 0}
-            )[kind] += 1
-
-    bump(old & new, "stability")
-    bump(new - old, "growth")
-    bump(old - new, "shrinkage")
-    return {key: EvolutionWeights(**counts) for key, counts in counters.items()}
+    radix = len(labels)
+    if not radix:
+        return {}
+    old = np.unique(keys[in_old])
+    new = np.unique(keys[in_new])
+    stability, growth, shrinkage = (
+        np.bincount(members % radix, minlength=radix).tolist()
+        for members in (
+            np.intersect1d(old, new, assume_unique=True),
+            np.setdiff1d(new, old, assume_unique=True),
+            np.setdiff1d(old, new, assume_unique=True),
+        )
+    )
+    return {
+        label: EvolutionWeights(*counts)
+        for label, *counts in zip(labels, stability, growth, shrinkage)
+        if any(counts)
+    }
 
 
 def aggregate_evolution(
@@ -271,6 +293,12 @@ def aggregate_evolution(
     old window scores *shrinkage*; only in the new window, *growth*.
     Counting is distinct (each appearance once), matching the weights the
     paper reads off Figures 4b and 12.
+
+    Vectorized over the aggregation engine's integer codes: attribute
+    tuples are factorized once over ``old ∪ new``, each window's distinct
+    ``(entity, tuple code)`` keys come from ``numpy.unique``, and the
+    three event classes are set operations over those keys.  Edges with a
+    dangling endpoint are skipped, not rejected: no tuple exists for them.
     """
     if not attributes:
         raise ValidationError("evolution aggregation needs at least one attribute")
@@ -278,11 +306,40 @@ def aggregate_evolution(
     new = ordered_times(graph, new_times)
     if not old or not new:
         raise ValidationError("evolution aggregation requires two non-empty time sets")
-    old_nodes, old_edges = _appearance_sets(graph, attributes, old)
-    new_nodes, new_edges = _appearance_sets(graph, attributes, new)
-    node_weights = _weights_from_appearances(old_nodes, new_nodes)
-    edge_weights = _weights_from_appearances(old_edges, new_edges)
-
+    get_metrics().inc("evolution.calls")
+    with trace_span(
+        "evolution", attributes=tuple(attributes), n_old=len(old), n_new=len(new)
+    ):
+        window = ordered_times(graph, old, new)
+        positions = _window_positions(graph, window)
+        in_old = np.isin(positions, _window_positions(graph, old))
+        in_new = np.isin(positions, _window_positions(graph, new))
+        codes = _tuple_codes(graph, attributes, positions)
+        tuples = codes.tuples
+        node_weights = _event_weights(
+            codes.entity.astype(np.int64) * len(tuples) + codes.codes,
+            in_old[codes.cols],
+            in_new[codes.cols],
+            tuples,
+        )
+        edge_rows, edge_cols, sources, targets = _edge_appearances(
+            graph, codes, positions
+        )
+        pairs, pair_codes = np.unique(
+            sources * len(tuples) + targets, return_inverse=True
+        )
+        edge_keys = [
+            (tuples[source], tuples[target])
+            for source, target in zip(
+                *(part.tolist() for part in np.divmod(pairs, max(len(tuples), 1)))
+            )
+        ]
+        edge_weights = _event_weights(
+            edge_rows.astype(np.int64) * len(pairs) + pair_codes.reshape(-1),
+            in_old[edge_cols],
+            in_new[edge_cols],
+            edge_keys,
+        )
     return EvolutionAggregate(
         attributes=tuple(attributes),
         old_times=old,

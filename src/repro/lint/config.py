@@ -78,7 +78,6 @@ DEFAULTS: dict[str, Any] = {
         "modules": [
             "repro.frames.labeled_frame",
             "repro.frames.table",
-            "repro.core.fast",
             "repro.core.operators",
             "repro.core.aggregation",
         ],

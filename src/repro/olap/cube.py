@@ -38,7 +38,10 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..core import AggregateGraph, TemporalGraph, aggregate, union
+# ``union`` is no longer called here (the base route is fused); it stays
+# importable because perfbench instruments ``cube.union`` as the cube's
+# operator layer.
+from ..core import AggregateGraph, TemporalGraph, aggregate, union  # noqa: F401
 from ..core.granularity import TimeHierarchy
 from ..obs.metrics import get_metrics
 from .lattice import Cuboid, canonical
@@ -224,13 +227,9 @@ class TemporalGraphCube:
             cached = self._cache.get(key)
         if cached is not None:
             return cached
-        base = (
-            aggregate(self.graph, list(cuboid), distinct=distinct, times=window)
-            if len(window) == 1
-            else aggregate(
-                union(self.graph, window), list(cuboid), distinct=distinct
-            )
-        )
+        # Aggregating the base graph over the window equals aggregating
+        # its union over the window, without building the union graph.
+        base = aggregate(self.graph, list(cuboid), distinct=distinct, times=window)
         with self._lock:
             return self._cache.setdefault(key, base)
 

@@ -1,17 +1,16 @@
 """The pluggable graph-storage contract (ROADMAP item 2).
 
-GraphTempo's operators (Definitions 2.2-2.5), both aggregation engines
-(Algorithm 2 and the vectorized fast path) and the exploration lattice
-(Section 3) all reduce to four physical primitives over the Section-4
-arrays:
+GraphTempo's operators (Definitions 2.2-2.5), the aggregation engine
+and the exploration lattice (Section 3) all reduce to four physical
+primitives over the Section-4 arrays:
 
 * boolean **presence reductions** over a time window
   (:meth:`GraphStorageBackend.presence_mask`);
 * **time slicing** — restricting every array to a window
   (:meth:`GraphStorageBackend.slice_time`);
 * **attribute column reads** (:meth:`GraphStorageBackend.attribute_column`);
-* **adjacency scans** resolving edge endpoints to node rows
-  (:meth:`GraphStorageBackend.adjacency_scan`).
+* **edge endpoint rows** resolving edge endpoints to node rows
+  (:meth:`GraphStorageBackend.edge_endpoint_rows`).
 
 A :class:`GraphStorageBackend` implements those primitives over some
 physical layout and round-trips losslessly to the dense
@@ -212,7 +211,7 @@ class GraphStorageBackend(ABC):
         ``entity="nodes"`` keeps ``node_labels[start:stop]`` (presence,
         static and time-varying attributes), leaving the timeline and
         the edge axis whole — an edge whose endpoint fell outside the
-        shard reports ``-1`` from :meth:`adjacency_scan`, per that
+        shard reports ``-1`` from :meth:`edge_endpoint_rows`, per that
         contract.  ``entity="edges"`` slices the edge axis instead.
         Empty ranges produce a valid empty-axis backend, so a shard plan
         with more shards than rows stays total.  The slice is rebuilt
@@ -268,12 +267,22 @@ class GraphStorageBackend(ABC):
         """
 
     @abstractmethod
+    def edge_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sources, targets)``: each edge's endpoint node rows.
+
+        Two read-only integer arrays aligned with :attr:`edge_labels`;
+        node rows index :attr:`node_labels`.  A dangling endpoint (or a
+        malformed edge label) is reported as ``-1`` — resolving never
+        raises, callers decide the severity.  Backends compute the arrays
+        at most once, so the aggregation engine and the dangling-edge
+        check share one pass per graph.
+        """
+
     def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
         """Yield ``(edge_label, source_row, target_row)`` per edge, in
-        storage order.  Node rows index :attr:`node_labels`; a dangling
-        or malformed endpoint is reported as ``-1`` — the scan itself
-        never raises, callers decide the severity.
-        """
+        storage order — :meth:`edge_endpoint_rows` one edge at a time."""
+        sources, targets = self.edge_endpoint_rows()
+        yield from zip(self.edge_labels, sources.tolist(), targets.tolist())
 
     # ------------------------------------------------------------------
     # Accounting

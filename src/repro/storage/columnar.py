@@ -34,7 +34,7 @@ the conformance suite (``tests/test_storage_conformance.py``) and the
 from __future__ import annotations
 
 import pickle
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Sequence
 from pathlib import Path
 from typing import Any, ClassVar
 
@@ -467,11 +467,8 @@ class ColumnarBackend(GraphStorageBackend):
             )
         raise LabelError(f"unknown attribute {name!r}")
 
-    def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
-        src = np.asarray(self._src_rows)
-        dst = np.asarray(self._dst_rows)
-        for row, edge in enumerate(self._edge_labels):
-            yield edge, int(src[row]), int(dst[row])
+    def edge_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self._src_rows), np.asarray(self._dst_rows)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -9,7 +9,7 @@ every other backend is measured against this one.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Any, ClassVar
 
 import numpy as np
@@ -28,9 +28,7 @@ class DenseBackend(GraphStorageBackend):
 
     def __init__(self, frames: StorageFrames) -> None:
         self._frames = frames
-        self._node_index = {
-            label: row for row, label in enumerate(frames.node_presence.row_labels)
-        }
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction / round-trip
@@ -131,13 +129,24 @@ class DenseBackend(GraphStorageBackend):
             return frames.static_attrs.column(name)
         raise LabelError(f"unknown attribute {name!r}")
 
-    def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
-        index = self._node_index
-        for edge in self._frames.edge_presence.row_labels:
-            if isinstance(edge, tuple) and len(edge) == 2:
-                yield edge, index.get(edge[0], -1), index.get(edge[1], -1)
-            else:
-                yield edge, -1, -1
+    def edge_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._endpoints is None:
+            index = {
+                label: row
+                for row, label in enumerate(self._frames.node_presence.row_labels)
+            }
+            pairs = [
+                (index.get(edge[0], -1), index.get(edge[1], -1))
+                if isinstance(edge, tuple) and len(edge) == 2
+                else (-1, -1)
+                for edge in self._frames.edge_presence.row_labels
+            ]
+            rows = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+            sources, targets = rows[:, 0].copy(), rows[:, 1].copy()
+            sources.flags.writeable = False
+            targets.flags.writeable = False
+            self._endpoints = (sources, targets)
+        return self._endpoints
 
     # ------------------------------------------------------------------
     # Accounting

@@ -9,11 +9,10 @@ cover live here:
 
 * :class:`EvolutionView` — the evolution overlay (Definition 2.7 /
   Fig. 4b) between a pinned old window and the growing tail of appended
-  points.  Appearance sets are per-point unions, so each append scans
-  only the appended column and the interval algebra extends the new
-  window by one point; weights come from the same helper
-  :func:`~repro.core.evolution.aggregate_evolution` uses, so the
-  maintained aggregate is bit-identical to a from-scratch one.
+  points.  Appearance sets are per-point unions, so each append reads
+  only the appended snapshot and moves per-tuple event counters; the
+  maintained aggregate is bit-identical to
+  :func:`~repro.core.evolution.aggregate_evolution` from scratch.
 * :class:`ExplorationView` — incremental exploration state: the
   qualification mask of the growing new side is extended by exactly one
   OR (union semantics) or AND (intersection semantics) per appended
@@ -35,7 +34,7 @@ over the appended points — the replay identity the fuzz laws check.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -43,8 +42,8 @@ import numpy as np
 from ..core import TemporalGraph
 from ..core.evolution import (
     EvolutionAggregate,
+    EvolutionWeights,
     _appearance_sets,
-    _weights_from_appearances,
 )
 from ..core.intervals import Interval
 from ..core.operators import ordered_times
@@ -93,11 +92,15 @@ class EvolutionView(StreamingView):
         The pinned old window ``T1``.  ``None`` pins the registration
         graph's whole timeline.
 
-    Each append unions the appended point's ``(entity, tuple)``
-    appearance sets into the maintained new-window sets — earlier
-    columns never change, so a window's appearance set is exactly the
-    union of its per-point sets.  :meth:`current` reduces the maintained
-    sets with the same weights helper ``aggregate_evolution`` uses.
+    Earlier columns never change, so the new window's appearance set is
+    exactly the union of its per-point sets.  Each append reads the
+    appended point's ``(entity, tuple)`` appearances straight from the
+    :class:`~repro.core.SnapshotUpdate` — node tuples from the update's
+    values plus the node's static row, edge tuples from its endpoints —
+    and folds the ones not seen before into per-tuple
+    ``[stability, growth, shrinkage]`` counters: an appearance already
+    in the old window moves from shrinkage to stability, any other one
+    is growth.  :meth:`current` then costs one pass over the counters.
     """
 
     def __init__(
@@ -115,10 +118,8 @@ class EvolutionView(StreamingView):
         self._graph: TemporalGraph | None = None
         self._old_times: tuple[Hashable, ...] = ()
         self._new_labels: list[Hashable] = []
-        self._old_nodes: set[tuple[Any, Any]] = set()
-        self._old_edges: set[tuple[Any, Any]] = set()
-        self._new_nodes: set[tuple[Any, Any]] = set()
-        self._new_edges: set[tuple[Any, Any]] = set()
+        self._nodes = _EventCounters(set())
+        self._edges = _EventCounters(set())
 
     def rebuild(self, graph: TemporalGraph) -> None:
         if self._initial_labels is None:
@@ -136,25 +137,39 @@ class EvolutionView(StreamingView):
             raise ValidationError("evolution view requires a non-empty old window")
         self._graph = graph
         self._old_times = old
-        node_set, edge_set = _appearance_sets(graph, self.attributes, old)
-        self._old_nodes, self._old_edges = node_set, edge_set
+        old_nodes, old_edges = _appearance_sets(graph, self.attributes, old)
+        self._nodes = _EventCounters(old_nodes)
+        self._edges = _EventCounters(old_edges)
         self._new_labels = [
             t for t in graph.timeline.labels if t not in self._initial_labels
         ]
-        self._new_nodes = set()
-        self._new_edges = set()
         for label in self._new_labels:
             point = ordered_times(graph, [label])
             nodes, edges = _appearance_sets(graph, self.attributes, point)
-            self._new_nodes |= nodes
-            self._new_edges |= edges
+            self._nodes.fold(nodes)
+            self._edges.fold(edges)
 
     def extend(self, graph: TemporalGraph, update: SnapshotUpdate) -> None:
+        static = graph.static_attrs
+        static_cols = {
+            name: static.col_position(name)
+            for name in self.attributes
+            if graph.is_static(name)
+        }
+        tuples = {
+            node: tuple(
+                static.values[static.row_position(node), static_cols[name]]
+                if name in static_cols
+                else values.get(name)
+                for name in self.attributes
+            )
+            for node, values in update.nodes.items()
+        }
+        self._nodes.fold(tuples.items())
+        self._edges.fold(
+            (edge, (tuples[edge[0]], tuples[edge[1]])) for edge in update.edges
+        )
         self._graph = graph
-        point = ordered_times(graph, [update.time])
-        nodes, edges = _appearance_sets(graph, self.attributes, point)
-        self._new_nodes |= nodes
-        self._new_edges |= edges
         self._new_labels.append(update.time)
 
     @property
@@ -169,7 +184,7 @@ class EvolutionView(StreamingView):
 
     def current(self) -> EvolutionAggregate:
         """The evolution aggregate between the pinned old window and the
-        appended points, reduced from the maintained appearance sets.
+        appended points, read off the maintained counters.
 
         Bit-identical to ``aggregate_evolution(graph, old, appended,
         attributes)`` on the current graph — the delta identity the
@@ -188,13 +203,45 @@ class EvolutionView(StreamingView):
             attributes=self.attributes,
             old_times=self._old_times,
             new_times=ordered_times(self._graph, self._new_labels),
-            node_weights=_weights_from_appearances(
-                self._old_nodes, self._new_nodes
-            ),
-            edge_weights=_weights_from_appearances(
-                self._old_edges, self._new_edges
-            ),
+            node_weights=self._nodes.weights(),
+            edge_weights=self._edges.weights(),
         )
+
+
+class _EventCounters:
+    """Per-tuple ``[stability, growth, shrinkage]`` counts of one entity
+    kind, kept current as new-window appearances arrive.
+
+    Every old-window appearance starts as shrinkage.  A new-window
+    appearance is counted once, the first time it is folded in: as
+    stability (moved out of shrinkage) when the old window holds it too,
+    else as growth.  A tuple's total never drops, so every tracked tuple
+    keeps a non-zero weight.
+    """
+
+    def __init__(self, old: set[tuple[Any, Any]]) -> None:
+        self._old = old
+        self._new: set[tuple[Any, Any]] = set()
+        self._counts: dict[Any, list[int]] = {}
+        for _, key in old:
+            self._counts.setdefault(key, [0, 0, 0])[2] += 1
+
+    def fold(self, appearances: Iterable[tuple[Any, Any]]) -> None:
+        for appearance in appearances:
+            if appearance in self._new:
+                continue
+            self._new.add(appearance)
+            counts = self._counts.setdefault(appearance[1], [0, 0, 0])
+            if appearance in self._old:
+                counts[0] += 1
+                counts[2] -= 1
+            else:
+                counts[1] += 1
+
+    def weights(self) -> dict[Any, EvolutionWeights]:
+        return {
+            key: EvolutionWeights(*counts) for key, counts in self._counts.items()
+        }
 
 
 def _padded(mask: np.ndarray, n_rows: int) -> np.ndarray:

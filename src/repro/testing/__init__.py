@@ -2,14 +2,21 @@
 
 Downstream code building on GraphTempo needs the same things this
 repository's own suite needs — seedable random temporal graphs, the
-paper's algebraic identities as executable laws, and a differential
-oracle over every engine/store variant.  See ``docs/testing.md`` for the
-full tour and ``repro fuzz --help`` for the CLI.
+paper's algebraic identities as executable laws, the literal Algorithm 2
+and set-based evolution as reference engines, and a differential oracle
+over every engine/store variant.  See ``docs/testing.md`` for the full
+tour and ``repro fuzz --help`` for the CLI.
 
 Only :mod:`repro.testing.strategies` requires ``hypothesis``; everything
 else (including ``repro fuzz``) runs on numpy alone.
 """
 
+from .algorithm2 import (
+    AggregationEngine,
+    aggregate_algorithm2,
+    aggregate_evolution_reference,
+    aggregation_engines,
+)
 from .asserts import assert_same_aggregate, assert_same_graph
 from .generators import (
     GraphSpec,
@@ -33,6 +40,10 @@ except ImportError:  # pragma: no cover - hypothesis not installed
         )
 
 __all__ = [
+    "AggregationEngine",
+    "aggregate_algorithm2",
+    "aggregate_evolution_reference",
+    "aggregation_engines",
     "assert_same_aggregate",
     "assert_same_graph",
     "GraphSpec",

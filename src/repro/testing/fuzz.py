@@ -6,7 +6,8 @@ drawn from ``default_rng([seed, case])`` and each law check from
 idiom, so no case or law perturbs another's randomness and any failure
 is replayable from the report alone.  Every fourth case is hostile
 (dangling edges); laws that require well-formed graphs are skipped
-there.
+there.  The second case of every four blanks some present time-varying
+cells to ``None``, a well-formed shape every law must handle.
 
 Failures are shrunk to a minimal graph (:func:`repro.testing.shrink_graph`)
 and, when ``out_dir`` is given, written to disk as standalone reproducer
@@ -80,14 +81,21 @@ class FuzzReport:
 
 
 def _case_spec(case: int, rng: np.random.Generator) -> GraphSpec:
-    """A randomized graph shape; hostile every :data:`HOSTILE_EVERY`-th."""
+    """A randomized graph shape; hostile every :data:`HOSTILE_EVERY`-th.
+
+    The second case of every :data:`HOSTILE_EVERY` blanks some present
+    time-varying cells to ``None`` (:attr:`GraphSpec.missing_values`).
+    Those graphs stay well-formed, so every law runs on them.
+    """
     hostile = case % HOSTILE_EVERY == HOSTILE_EVERY - 1
+    sparse = case % HOSTILE_EVERY == 1
     return GraphSpec(
         n_times=int(rng.integers(2, 6)),
         n_nodes=int(rng.integers(2, 9)),
         edge_density=float(rng.uniform(0.1, 0.7)),
         presence_density=float(rng.uniform(0.3, 0.9)),
         dangling_edges=int(rng.integers(1, 3)) if hostile else 0,
+        missing_values=0.3 if sparse else 0.0,
     )
 
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import TemporalGraph, aggregate, presence_signature
-from ..core.fast import aggregation_engines
+from ..core import TemporalGraph, aggregate, aggregate_evolution, presence_signature
 from ..errors import GraphTempoError
 from ..exploration.events import EntityKind, EventType
 from ..exploration.explore import ExtendSide, Goal, exhaustive_explore, explore
 from ..materialize.incremental import IncrementalStore
 from ..materialize.store import MaterializedStore
+from .algorithm2 import aggregate_evolution_reference, aggregation_engines
 from .generators import random_time_sets
 from .laws import register_law
 
@@ -33,6 +33,7 @@ __all__ = ["DIFFERENTIAL_LAW_NAMES"]
 #: Names of the laws this module registers, in registration order.
 DIFFERENTIAL_LAW_NAMES = (
     "engines-agree",
+    "evolution-engines-agree",
     "union-store-agrees",
     "incremental-replay-agrees",
     "exploration-variants-agree",
@@ -93,6 +94,35 @@ def _engines_agree(graph: TemporalGraph, rng: np.random.Generator) -> str | None
             return (
                 f"{names[0]} vs {other} on {attrs!r}/{times!r}: {problems[0]}"
             )
+    return None
+
+
+@register_law(
+    "evolution-engines-agree",
+    "the vectorized evolution aggregate equals the set-based reference; "
+    "dangling edges are skipped, never raised on",
+)
+def _evolution_engines_agree(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    attrs = _pick_attributes(rng, graph)
+    if not attrs:
+        return None
+    old, new = random_time_sets(rng, graph, n=2, hostile=bool(rng.integers(2)))
+    try:
+        vectorized = aggregate_evolution(graph, old, new, attrs)
+    except GraphTempoError as exc:
+        return (
+            f"aggregate_evolution raised {type(exc).__name__} on "
+            f"{attrs!r}/{old!r}/{new!r}: {exc}"
+        )
+    reference = aggregate_evolution_reference(graph, old, new, attrs)
+    problems = vectorized.diff(reference)
+    if problems:
+        return (
+            f"vectorized vs reference evolution on {attrs!r}/{old!r}/{new!r}: "
+            f"{problems[0]}"
+        )
     return None
 
 

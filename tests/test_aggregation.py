@@ -3,10 +3,7 @@
 import pytest
 
 from repro.core import AggregateGraph, aggregate, union
-from repro.core.aggregation import (
-    _aggregate_general,
-    _aggregate_static_fast,
-)
+from repro.testing import aggregate_algorithm2
 
 
 class TestTimePointAggregation:
@@ -75,27 +72,27 @@ class TestUnionAggregation:
 
 
 class TestStaticFastPath:
+    """Static-only attribute lists against the Algorithm-2 oracle."""
+
     def test_matches_general_path_dist(self, small_dblp):
         times = small_dblp.timeline.labels[:4]
-        fast = _aggregate_static_fast(small_dblp, ["gender"], times, True)
-        general = _aggregate_general(small_dblp, ["gender"], times, True)
+        fast = aggregate(small_dblp, ["gender"], True, times)
+        general = aggregate_algorithm2(small_dblp, ["gender"], True, times)
         assert dict(fast.node_weights) == dict(general.node_weights)
         assert dict(fast.edge_weights) == dict(general.edge_weights)
 
     def test_matches_general_path_all(self, small_dblp):
         times = small_dblp.timeline.labels[:4]
-        fast = _aggregate_static_fast(small_dblp, ["gender"], times, False)
-        general = _aggregate_general(small_dblp, ["gender"], times, False)
+        fast = aggregate(small_dblp, ["gender"], False, times)
+        general = aggregate_algorithm2(small_dblp, ["gender"], False, times)
         assert dict(fast.node_weights) == dict(general.node_weights)
         assert dict(fast.edge_weights) == dict(general.edge_weights)
 
     def test_multiple_static_attributes(self, small_movielens):
         times = small_movielens.timeline.labels[:2]
-        fast = _aggregate_static_fast(
-            small_movielens, ["gender", "age"], times, True
-        )
-        general = _aggregate_general(
-            small_movielens, ["gender", "age"], times, True
+        fast = aggregate(small_movielens, ["gender", "age"], True, times)
+        general = aggregate_algorithm2(
+            small_movielens, ["gender", "age"], True, times
         )
         assert dict(fast.node_weights) == dict(general.node_weights)
         assert dict(fast.edge_weights) == dict(general.edge_weights)

@@ -1,8 +1,9 @@
-"""Engine-parity suite: aggregate vs. aggregate_fast on hostile inputs.
+"""Engine-parity suite: aggregate vs. the Algorithm-2 oracle on hostile
+inputs.
 
-The two aggregation engines (the literal Algorithm 2 transcription and
-the factorized numpy engine) must agree everywhere — including the edge
-cases this PR fixed: duplicate/unordered time windows (which used to
+The two aggregation engines (the factorized numpy engine and the literal
+Algorithm 2 transcription in ``repro.testing``) must agree everywhere —
+including these edge cases: duplicate/unordered time windows (which used to
 double-count in ALL mode), float attribute frames carrying NaN at absent
 cells, and dangling edges (which used to escape as bare ``KeyError``).
 
@@ -15,19 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import (
-    TemporalGraph,
-    Timeline,
-    aggregate,
-    aggregate_fast,
-)
+from repro.core import TemporalGraph, Timeline, aggregate
 from repro.errors import AggregationError
 from repro.exploration import EventType, ExtendSide, Goal, explore
 from repro.frames import LabeledFrame
 from repro.obs import MetricsRegistry, Tracer, set_metrics, set_tracer
-from repro.testing import assert_same_aggregate, temporal_graphs
+from repro.testing import (
+    aggregate_algorithm2,
+    assert_same_aggregate,
+    temporal_graphs,
+)
 
-ENGINES = [aggregate, aggregate_fast]
+ENGINES = [aggregate, aggregate_algorithm2]
 
 
 def _engine_id(engine):
@@ -122,7 +122,7 @@ class TestDuplicateTimes:
         times = ["t1", "t1", "t0"]
         assert_same_aggregate(
             aggregate(paper_graph, ["gender"], distinct=distinct, times=times),
-            aggregate_fast(
+            aggregate_algorithm2(
                 paper_graph, ["gender"], distinct=distinct, times=times
             ),
         )
@@ -133,14 +133,16 @@ class TestFloatAttributeParity:
     def test_engines_agree_with_nan_cells(self, float_attr_graph, distinct):
         assert_same_aggregate(
             aggregate(float_attr_graph, ["score"], distinct=distinct),
-            aggregate_fast(float_attr_graph, ["score"], distinct=distinct),
+            aggregate_algorithm2(
+                float_attr_graph, ["score"], distinct=distinct
+            ),
         )
 
     @pytest.mark.parametrize("distinct", [True, False])
     def test_engines_agree_on_mixed_attrs(self, float_attr_graph, distinct):
         assert_same_aggregate(
             aggregate(float_attr_graph, ["gender", "score"], distinct=distinct),
-            aggregate_fast(
+            aggregate_algorithm2(
                 float_attr_graph, ["gender", "score"], distinct=distinct
             ),
         )
@@ -185,7 +187,7 @@ class TestTracingParity:
             return (
                 aggregate(graph, ["gender"], distinct=True),
                 aggregate(graph, ["gender", "level"], distinct=False),
-                aggregate_fast(graph, ["gender"], distinct=False),
+                aggregate_algorithm2(graph, ["gender"], distinct=False),
             )
 
         baseline = run()

@@ -9,6 +9,11 @@ from repro.core import (
     evolution,
     intersection,
 )
+from repro.testing import (
+    GraphSpec,
+    aggregate_evolution_reference,
+    random_temporal_graph,
+)
 
 
 class TestEvolutionGraph:
@@ -154,3 +159,42 @@ class TestAggregateEvolution:
             assert counter.count(EventType.STABILITY, old, new) == evo_agg.node(key).stability
             assert counter.count(EventType.GROWTH, old, new) == evo_agg.node(key).growth
             assert counter.count(EventType.SHRINKAGE, old, new) == evo_agg.node(key).shrinkage
+
+
+class TestVectorizedEvolution:
+    """The vectorized kernel against the set-based reference."""
+
+    @pytest.mark.parametrize(
+        "attrs", [["gender"], ["publications"], ["publications", "gender"]]
+    )
+    def test_matches_reference_on_dblp(self, small_dblp, attrs):
+        labels = small_dblp.timeline.labels
+        for old, new in ((labels[:5], labels[5:]), (labels[2:9], labels[4:12])):
+            vectorized = aggregate_evolution(small_dblp, old, new, attrs)
+            reference = aggregate_evolution_reference(small_dblp, old, new, attrs)
+            assert vectorized.diff(reference) == ()
+
+    def test_dangling_edges_are_skipped(self, test_seed):
+        graph = random_temporal_graph(
+            GraphSpec(n_times=4, dangling_edges=3), seed=test_seed
+        )
+        labels = graph.timeline.labels
+        vectorized = aggregate_evolution(graph, labels[:2], labels[2:], ["gender"])
+        reference = aggregate_evolution_reference(
+            graph, labels[:2], labels[2:], ["gender"]
+        )
+        assert vectorized.diff(reference) == ()
+
+    def test_missing_values_group_under_none(self, test_seed):
+        graph = random_temporal_graph(
+            GraphSpec(n_times=4, n_nodes=12, missing_values=0.5), seed=test_seed
+        )
+        labels = graph.timeline.labels
+        vectorized = aggregate_evolution(
+            graph, labels[:2], labels[2:], ["gender", "level"]
+        )
+        reference = aggregate_evolution_reference(
+            graph, labels[:2], labels[2:], ["gender", "level"]
+        )
+        assert vectorized.diff(reference) == ()
+        assert any(key[1] is None for key in vectorized.node_weights)

@@ -30,7 +30,6 @@ import pytest
 
 from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate
-from repro.core.aggregation import aggregate_general
 from repro.core.operators import presence_signature
 from repro.core.updates import SnapshotUpdate
 from repro.datasets import paper_example
@@ -46,7 +45,7 @@ from repro.query import run_query
 from repro.serving import QueryServer
 from repro.storage import backend_names, get_backend
 from repro.streaming import StreamingStore
-from repro.testing import run_fuzz
+from repro.testing import aggregate_algorithm2, run_fuzz
 
 ALL_CASES = tuple(itertools.product(EventType, Goal, ExtendSide))
 
@@ -101,7 +100,7 @@ def test_explore_parity_every_case(graph, fabric, no_work_floor, event, goal, ex
 
 
 # ----------------------------------------------------------------------
-# Aggregation: entity-range sharded tasks, both engines
+# Aggregation: entity-range sharded tasks vs serial and the oracle
 # ----------------------------------------------------------------------
 
 
@@ -115,13 +114,14 @@ def test_aggregate_parity_both_engines(
     graph, fabric, no_work_floor, attributes, distinct
 ):
     serial = aggregate(graph, attributes, distinct=distinct)
-    oracle = aggregate_general(graph, attributes, distinct=distinct)
+    oracle = aggregate_algorithm2(graph, attributes, distinct=distinct)
+    assert serial.diff(oracle) == ()
     for name, executor in _executors(fabric):
         with executor_scope(executor):
-            fast = aggregate(graph, attributes, distinct=distinct, parallelism=2)
-            general = aggregate_general(graph, attributes, distinct=distinct)
-        assert serial.diff(fast) == (), f"{name} fast engine diverged"
-        assert oracle.diff(general) == (), f"{name} general engine diverged"
+            pooled = aggregate(
+                graph, attributes, distinct=distinct, parallelism=2
+            )
+        assert serial.diff(pooled) == (), f"{name} row-range partials diverged"
 
 
 def test_repeated_calls_stay_bit_exact_on_a_warm_pool(graph, fabric, no_work_floor):

@@ -129,14 +129,14 @@ GT002_GOOD = """
 
 
 def test_gt002_flags_row_loops(tmp_path: Path) -> None:
-    violations = lint_snippet(tmp_path, "src/repro/core/fast.py", GT002_BAD)
+    violations = lint_snippet(tmp_path, "src/repro/core/aggregation.py", GT002_BAD)
     gt002 = [v for v in violations if v.rule == "GT002"]
     assert len(gt002) == 3
     assert "vectorized" in gt002[0].message
 
 
 def test_gt002_accepts_whole_array_code(tmp_path: Path) -> None:
-    violations = lint_snippet(tmp_path, "src/repro/core/fast.py", GT002_GOOD)
+    violations = lint_snippet(tmp_path, "src/repro/core/aggregation.py", GT002_GOOD)
     assert "GT002" not in rule_ids(violations)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import aggregate, union
+from repro.core import aggregate, aggregate_evolution, union
 from repro.errors import ConfigurationError
 from repro.materialize import MaterializedStore
 from repro.obs import (
@@ -26,6 +26,7 @@ from repro.obs import (
     traced,
 )
 from repro.session import GraphTempoSession
+from repro.testing import aggregate_algorithm2
 
 
 @pytest.fixture()
@@ -227,9 +228,9 @@ class TestPipelineIntegration:
 
     def test_algorithm2_step_counters(self, paper_graph, fresh_obs):
         _, registry = fresh_obs
-        # publications is time-varying, forcing the general Algorithm 2
-        # path with its unpivot/dedup/group-count instrumentation.
-        aggregate(paper_graph, ["publications"], distinct=True)
+        # The literal Algorithm 2 runs as the oracle in repro.testing,
+        # with its unpivot/dedup/group-count instrumentation.
+        aggregate_algorithm2(paper_graph, ["publications"], distinct=True)
         assert registry.counter("algo2.unpivot_rows") > 0
         assert registry.counter("algo2.dedup_rows") > 0
         assert registry.counter("algo2.group_count_groups") > 0
@@ -237,9 +238,37 @@ class TestPipelineIntegration:
 
     def test_frames_rows_scanned(self, paper_graph, fresh_obs):
         _, registry = fresh_obs
-        aggregate(paper_graph, ["publications"], distinct=True)
+        aggregate_algorithm2(paper_graph, ["publications"], distinct=True)
         assert registry.counter("frames.rows_scanned") > 0
         assert registry.counter("frames.table_ops") > 0
+
+    def test_engine_counters_and_spans(self, paper_graph, fresh_obs):
+        tracer, registry = fresh_obs
+        result = aggregate(paper_graph, ["gender", "publications"], distinct=False)
+        assert registry.counter("aggregate.calls") == 1
+        # ALL weights count every appearance: 10 node plus 8 edge ones.
+        assert registry.counter("aggregate.appearances") == 18 == (
+            result.total_node_weight() + result.total_edge_weight()
+        )
+        assert registry.counter("aggregate.groups") == (
+            result.n_aggregate_nodes + result.n_aggregate_edges
+        )
+        assert tracer.last_root.name == "aggregate"
+        assert [child.name for child in tracer.last_root.children] == [
+            "aggregate.factorize",
+            "aggregate.count",
+            "aggregate.assemble",
+        ]
+        # The production engine never runs Algorithm 2's relational steps.
+        assert registry.counter("algo2.unpivot_rows") == 0
+        assert registry.counter("frames.table_ops") == 0
+
+    def test_evolution_span_and_counter(self, paper_graph, fresh_obs):
+        tracer, registry = fresh_obs
+        aggregate_evolution(paper_graph, ["t0"], ["t1", "t2"], ["gender"])
+        assert registry.counter("evolution.calls") == 1
+        assert tracer.last_root.name == "evolution"
+        assert tracer.last_root.attributes["n_new"] == 2
 
     def test_exploration_counters(self, paper_graph, fresh_obs):
         _, registry = fresh_obs

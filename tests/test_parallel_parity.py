@@ -3,8 +3,8 @@
 The executor contract says results never depend on which executor ran.
 This suite enforces it at every fan-out site:
 
-* aggregation (both engines, DIST and ALL) — ``diff()`` against the
-  serial run and against the forced-general oracle engine;
+* aggregation (static, varying and mixed attributes, DIST and ALL) —
+  ``diff()`` against the serial run and the Algorithm-2 oracle engine;
 * evolution and session facades under a ``parallelism_scope``;
 * all eight Table-1 exploration cases plus the exhaustive oracle —
   identical pairs *and* identical evaluation counts (the pruning must
@@ -25,7 +25,6 @@ import pytest
 
 from tests.conftest import TEST_SEED, make_tiny_graph
 from repro.core import aggregate, aggregate_evolution
-from repro.core.aggregation import aggregate_general
 from repro.datasets import paper_example
 from repro.exploration import (
     EntityKind,
@@ -37,7 +36,7 @@ from repro.exploration import (
 )
 from repro.parallel import parallelism_scope
 from repro.session import GraphTempoSession
-from repro.testing import law_registry, run_fuzz
+from repro.testing import aggregate_algorithm2, law_registry, run_fuzz
 
 WORKER_COUNTS = (2, 4)
 
@@ -77,10 +76,10 @@ def test_aggregate_parity(graph, attributes, distinct, workers):
 
 
 def test_parallel_aggregate_matches_forced_general_oracle(graph):
-    # The PR-4 differential oracle's baseline engine stays serial; the
-    # pooled dispatching engine must still agree with it bit for bit.
+    # The Algorithm-2 oracle stays serial; the pooled kernel's row-range
+    # partials must still agree with it bit for bit.
     for distinct in (True, False):
-        oracle = aggregate_general(graph, ["color"], distinct=distinct)
+        oracle = aggregate_algorithm2(graph, ["color"], distinct=distinct)
         pooled = aggregate(graph, ["color"], distinct=distinct, parallelism=2)
         assert oracle.diff(pooled) == ()
 

@@ -384,6 +384,41 @@ def test_adjacency_scan_never_raises_on_hostile_graphs(test_seed, backend):
     assert sum(1 for _, u, v in rows if u < 0 or v < 0) >= 3
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dangling", [0, 3], ids=["clean", "dangling"])
+def test_edge_endpoint_rows_agree_with_dense(test_seed, backend, dangling):
+    source = random_temporal_graph(
+        GraphSpec(dangling_edges=dangling), seed=test_seed
+    )
+    expected = DenseBackend.from_graph(source).edge_endpoint_rows()
+    storage = get_backend(backend).from_graph(source)
+    sources, targets = storage.edge_endpoint_rows()
+    assert np.array_equal(sources, expected[0])
+    assert np.array_equal(targets, expected[1])
+    node_labels = storage.node_labels
+    for (u, v), u_row, v_row in zip(storage.edge_labels, sources, targets):
+        assert u_row == -1 if u not in node_labels else node_labels[u_row] == u
+        assert v_row == -1 if v not in node_labels else node_labels[v_row] == v
+    assert int(((sources < 0) | (targets < 0)).sum()) == dangling
+    # Shared, read-only and computed once per backend instance.
+    assert np.shares_memory(storage.edge_endpoint_rows()[0], sources)
+    with pytest.raises(ValueError):
+        sources[:1] = 0
+    assert list(storage.adjacency_scan()) == list(
+        zip(storage.edge_labels, sources.tolist(), targets.tolist())
+    )
+
+
+def test_memmapped_edge_endpoint_rows_agree_with_dense(graph, tmp_path):
+    expected = DenseBackend.from_graph(graph).edge_endpoint_rows()
+    target = ColumnarBackend.from_graph(graph).save(tmp_path / "graph.columnar")
+    mapped = ColumnarBackend.open(target, mmap=True)
+    assert mapped.is_memmapped
+    sources, targets = mapped.edge_endpoint_rows()
+    assert np.array_equal(sources, expected[0])
+    assert np.array_equal(targets, expected[1])
+
+
 # ----------------------------------------------------------------------
 # Hypothesis round-trip properties
 # ----------------------------------------------------------------------
