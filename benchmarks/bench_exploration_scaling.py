@@ -1,16 +1,24 @@
-"""Old-vs-new exploration engine scaling benchmark.
+"""Exploration kernel vs. per-step chain walk scaling benchmark.
 
-Measures what the incremental :class:`~repro.exploration.ChainEvaluator`
-buys over the seed implementation's per-pair evaluation:
+Measures what the frontier-batched exploration kernel behind
+:func:`~repro.exploration.explore` buys over the simplest alternative,
+the per-step :class:`~repro.exploration.ChainEvaluator` walk
+(:func:`repro.testing.reference_explore`, one Python ``ChainStep`` per
+evaluated pair), and over the seed's naive per-pair re-reduction:
 
-* **synthetic scaling** — ``exhaustive_explore`` and pruned ``explore``
-  on growing synthetic timelines, ``incremental=True`` vs. the naive
-  per-pair re-reduction (``incremental=False``, the seed's strategy);
+* **synthetic scaling** — pruned ``explore`` on growing synthetic
+  timelines: kernel (``new``) vs. the incremental per-step walk
+  (``old``), plus the naive walk (``naive_best_s``);
 * **varying-attribute fallback** — the vectorized tuple-code appearance
   counting vs. a faithful reimplementation of the seed's nested Python
   loop, driven through identical chain walks;
 * **paper configurations** — the Figure 13 (MovieLens) and Figure 14
-  (DBLP) exploration cases at their Section-3.5 thresholds.
+  (DBLP) exploration cases at their Section-3.5 thresholds, kernel vs.
+  the incremental and naive walks.
+
+Gates: the kernel is at least as fast as the per-step walk on every
+synthetic and paper row (:data:`KERNEL_GATE`), and the best 50+-point
+synthetic row is at least :data:`LONG_TIMELINE_GATE` times the walk.
 
 Results land in ``BENCH_explore.json`` (see ``docs/benchmarks.md``).
 Run directly::
@@ -26,8 +34,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +60,16 @@ from repro.exploration import (
     ExtendSide,
     Goal,
     Semantics,
-    exhaustive_explore,
     explore,
     suggest_threshold,
 )
+from repro.testing import reference_explore
 
 FF = (("f",), ("f",))
+#: The kernel must never lose to the per-step walk it replaced.
+KERNEL_GATE = 1.0
+#: Best kernel-over-walk speedup required on a 50+-point timeline.
+LONG_TIMELINE_GATE = 3.0
 
 
 class _SeedEventCounter(EventCounter):
@@ -140,46 +154,86 @@ def _drain_chains(counter: EventCounter, incremental: bool) -> int:
     return total
 
 
+#: Minimum wall time of one timed batch of calls.
+BATCH_S = 0.02
+#: The timed arms of every exploration row.
+ARMS = ("kernel", "walk", "naive")
+
+
+def _timed_batch(fn, batch):
+    start = time.perf_counter()
+    for _ in range(batch):
+        result = fn()
+    return (time.perf_counter() - start) / batch, result
+
+
+def _three_arms(run, repeats):
+    """Time the kernel, the incremental walk and the naive walk of one
+    exploration call; ``run(arm)`` takes an :data:`ARMS` name.
+
+    Each arm's time is its best per-call mean over ``repeats`` batches
+    of calls lasting at least :data:`BATCH_S` (sized from one warm-up
+    call), so sub-millisecond calls are not bound by timer resolution.
+    The arms' batches interleave, rotating the order every repeat, so a
+    noisy spell on the host hits every arm alike.  All three arms must
+    report the same result.
+    """
+    batches = {}
+    results = {}
+    for arm in ARMS:
+        warm, results[arm] = _timed_batch(lambda: run(arm), 1)
+        batches[arm] = max(1, int(BATCH_S / max(warm, 1e-6)))
+    assert results["kernel"] == results["walk"] == results["naive"]
+    best = dict.fromkeys(ARMS, float("inf"))
+    for repeat in range(repeats):
+        turn = repeat % len(ARMS)
+        for arm in ARMS[turn:] + ARMS[:turn]:
+            per_call, _ = _timed_batch(lambda: run(arm), batches[arm])
+            best[arm] = min(best[arm], per_call)
+    kernel = results["kernel"]
+    return {
+        "old_best_s": best["walk"],
+        "new_best_s": best["kernel"],
+        "speedup": best["walk"] / best["kernel"],
+        "naive_best_s": best["naive"],
+        "speedup_vs_naive": best["naive"] / best["kernel"],
+        "evaluations": kernel.evaluations,
+        "pairs": len(kernel.pairs),
+    }
+
+
+def _explorer(mode, graph, *args, **kwargs):
+    if mode == "kernel":
+        return explore(graph, *args, **kwargs)
+    return reference_explore(graph, *args, incremental=mode == "walk", **kwargs)
+
+
 def bench_synthetic_scaling(lengths, nodes, edges, repeats):
     rows = []
     for n_times in lengths:
         graph = synthetic_graph(n_times, nodes, edges)
-        for name, fn in (
-            (
-                "exhaustive_explore",
-                lambda g, inc: exhaustive_explore(
-                    g, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1,
-                    incremental=inc,
-                ),
+        arms = _three_arms(
+            lambda mode: _explorer(
+                mode, graph, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1
             ),
-            (
-                "explore",
-                lambda g, inc: explore(
-                    g, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1,
-                    incremental=inc,
-                ),
-            ),
-        ):
-            new = measure(lambda: fn(graph, True), repeats=repeats)
-            old = measure(lambda: fn(graph, False), repeats=repeats)
-            assert new.result == old.result
-            rows.append(
-                {
-                    "workload": name,
-                    "n_times": n_times,
-                    "n_nodes": graph.n_nodes,
-                    "n_edges": graph.n_edges,
-                    "old_best_s": old.best,
-                    "new_best_s": new.best,
-                    "speedup": speedup(old, new),
-                    "evaluations": new.result.evaluations,
-                }
-            )
-            print(
-                f"  synthetic {name:>18} n={n_times:>3}: "
-                f"old {old.best:.4f}s new {new.best:.4f}s "
-                f"speedup {rows[-1]['speedup']:.1f}x"
-            )
+            repeats,
+        )
+        rows.append(
+            {
+                "workload": "explore",
+                "n_times": n_times,
+                "n_nodes": graph.n_nodes,
+                "n_edges": graph.n_edges,
+                **arms,
+            }
+        )
+        print(
+            f"  synthetic explore n={n_times:>3}: "
+            f"walk {arms['old_best_s'] * 1e3:.3f}ms "
+            f"kernel {arms['new_best_s'] * 1e3:.3f}ms speedup {arms['speedup']:.1f}x "
+            f"(naive {arms['naive_best_s'] * 1e3:.3f}ms, "
+            f"{arms['speedup_vs_naive']:.1f}x)"
+        )
     return rows
 
 
@@ -224,29 +278,26 @@ def bench_paper_configs(dataset, graph, repeats):
         k = suggest_threshold(
             graph, event, mode, attributes=["gender"], key=FF
         )
-        fn = lambda inc: explore(
-            graph, event, goal, extend, k,
-            attributes=["gender"], key=FF, incremental=inc,
+        arms = _three_arms(
+            lambda arm: _explorer(
+                arm, graph, event, goal, extend, k, attributes=["gender"], key=FF
+            ),
+            repeats,
         )
-        new = measure(lambda: fn(True), repeats=repeats)
-        old = measure(lambda: fn(False), repeats=repeats)
-        assert new.result == old.result
         rows.append(
             {
                 "dataset": dataset,
                 "case": name,
                 "k": k,
                 "n_times": len(graph.timeline),
-                "old_best_s": old.best,
-                "new_best_s": new.best,
-                "speedup": speedup(old, new),
-                "pairs": len(new.result.pairs),
+                "n_edges": graph.n_edges,
+                **arms,
             }
         )
         print(
-            f"  {dataset} {name:>18} k={k:>4}: "
-            f"old {old.best:.4f}s new {new.best:.4f}s "
-            f"speedup {rows[-1]['speedup']:.1f}x"
+            f"  {dataset} {name:>18} k={k:>4}: walk {arms['old_best_s'] * 1e3:.3f}ms "
+            f"kernel {arms['new_best_s'] * 1e3:.3f}ms speedup {arms['speedup']:.1f}x "
+            f"(naive {arms['naive_best_s'] * 1e3:.3f}ms)"
         )
     return rows
 
@@ -276,10 +327,10 @@ def main(argv=None):
         ml_scale, dblp_scale = 0.02, 0.01
         repeats = args.repeats or 1
     else:
-        lengths, nodes, edges = [12, 25, 50, 60], 300, 600
+        lengths, nodes, edges = [12, 25, 50, 60, 90], 300, 600
         varying_lengths = [12, 25]
         ml_scale, dblp_scale = 0.05, 0.02
-        repeats = args.repeats or 3
+        repeats = args.repeats or 7
 
     print("synthetic scaling (static path):")
     synthetic = bench_synthetic_scaling(lengths, nodes, edges, repeats)
@@ -295,6 +346,9 @@ def main(argv=None):
         "meta": {
             "smoke": args.smoke,
             "repeats": repeats,
+            "cpu_count": os.cpu_count(),
+            "kernel_gate": KERNEL_GATE,
+            "long_timeline_gate": LONG_TIMELINE_GATE,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "synthetic_size": {"nodes_per_t": nodes, "edges_per_t": edges},
@@ -308,14 +362,28 @@ def main(argv=None):
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
 
+    status = 0
+    # Smoke sizes run in well under a millisecond, where the kernel's
+    # fixed per-call cost dominates; the gates bind on full runs.
+    for row in [] if args.smoke else synthetic + movielens + dblp:
+        if row["speedup"] < KERNEL_GATE:
+            where = row.get("case", row.get("workload"))
+            print(
+                f"WARNING: kernel loses to the per-step walk on {where} "
+                f"(n_times={row['n_times']}): {row['speedup']:.2f}x"
+            )
+            status = 1
     best_long = max(
         (r["speedup"] for r in synthetic if r["n_times"] >= 50),
         default=None,
     )
-    if best_long is not None and best_long < 3.0:
-        print(f"WARNING: best 50+-point speedup {best_long:.1f}x is below 3x")
-        return 1
-    return 0
+    if best_long is not None and best_long < LONG_TIMELINE_GATE:
+        print(
+            f"WARNING: best 50+-point speedup {best_long:.1f}x is below "
+            f"{LONG_TIMELINE_GATE:.0f}x"
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from bench_parallel_speedup import GATE, GATE_MIN_CPUS
 from bench_parallel_speedup import main as parallel_bench_main
 from bench_serving import GATE as SERVING_GATE
 from bench_serving import main as serving_bench_main
+from bench_exploration_scaling import LONG_TIMELINE_GATE
 from bench_storage import GATE_FOOTPRINT as STORAGE_GATE_FOOTPRINT
 from bench_storage import GATE_LATENCY as STORAGE_GATE_LATENCY
 from bench_storage import main as storage_bench_main
@@ -41,7 +42,7 @@ from bench_streaming import main as streaming_bench_main
 pytestmark = pytest.mark.bench_smoke
 
 #: Gate recorded in bench_exploration_scaling.py for 50+-point timelines.
-EXPLORE_GATE = 3.0
+EXPLORE_GATE = LONG_TIMELINE_GATE
 
 
 def _recomputes(ratio: float, numerator: float, denominator: float) -> bool:
@@ -63,6 +64,14 @@ class TestExploreBaseline:
     def test_paper_configs_cover_both_datasets(self, explore_baseline):
         datasets = {row["dataset"] for row in explore_baseline["paper_configs"]}
         assert datasets == {"movielens", "dblp"}
+
+    def test_kernel_never_loses_to_the_walk(self, explore_baseline, bench_tolerance):
+        meta = explore_baseline["meta"]
+        assert meta["cpu_count"] >= 1
+        floor = meta["kernel_gate"] * (1 - bench_tolerance)
+        for section in ("synthetic_scaling", "paper_configs"):
+            for row in explore_baseline[section]:
+                assert row["speedup"] >= floor, row
 
     def test_long_timeline_speedup_gate(self, explore_baseline, bench_tolerance):
         best = max(

@@ -13,16 +13,20 @@ Three event kinds are derived from an ordered pair of sides
 ``result(G)`` is the number of events of interest in the aggregate of the
 event graph: either the total entity count, or — as in the paper's
 Figures 13/14, which track female-female edges — the DIST weight of one
-aggregate entity.  :class:`EventCounter` precomputes presence matrices,
-per-entity tuple matches (static attributes) and integer tuple-code
-matrices (time-varying attributes), so a single count is a handful of
-vectorized mask operations; exploration runs thousands of counts.
+aggregate entity.  :class:`EventCounter` reads the counted entity's
+presence from storage and precomputes per-entity tuple matches (static
+attributes) and integer tuple-code matrices (time-varying attributes),
+so a single count is a handful of vectorized mask operations;
+exploration runs thousands of counts.  :meth:`EventCounter.count_packed`
+counts many pairs at once from packed ``uint64`` event masks — the entry
+point of the exploration kernel in :mod:`repro.exploration.explore`.
 
-:class:`ChainEvaluator` goes one step further for the exploration
-workload itself: along one semi-lattice extension chain, consecutive
-pairs differ by exactly one base time point, so the extended side's
-qualification mask can be maintained with a single OR/AND per step
-instead of re-reducing the whole growing window.
+:class:`ChainEvaluator` is the per-pair walk: along one semi-lattice
+extension chain, consecutive pairs differ by exactly one base time
+point, so the extended side's qualification mask is maintained with a
+single OR/AND per step instead of re-reducing the whole growing window.
+Threshold suggestion, two-sided exploration and the reference explorer
+in :mod:`repro.testing.reference_explore` walk it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, cast
 
 import numpy as np
 
@@ -107,55 +111,107 @@ def static_match_mask(
     introduced, instead of rebuilding over the whole entity set.  With
     ``entities=None`` the mask covers every row of the entity's presence
     frame, in row order (what :class:`EventCounter` precomputes).
+
+    Each attribute column is factorized once into integer codes, so the
+    key becomes one code comparison per attribute, gathered through the
+    edge endpoint rows for edge entities.  An edge with a dangling
+    endpoint raises :class:`~repro.errors.ExplorationError`.
     """
-    positions = [graph.static_attrs.col_position(a) for a in tuple(attributes)]
-    values = graph.static_attrs.values
-    tuples = {
-        node: tuple(values[i, p] for p in positions)
-        for i, node in enumerate(graph.node_presence.row_labels)
-    }
     if entity is EntityKind.NODES:
-        labels = (
-            tuple(entities)
-            if entities is not None
-            else graph.node_presence.row_labels
-        )
-        wanted = tuple(key)
-        return np.fromiter(
-            (tuples[node] == wanted for node in labels),
-            dtype=bool,
-            count=len(labels),
-        )
-    edge_labels = (
-        tuple(entities)
-        if entities is not None
-        else graph.edge_presence.row_labels
-    )
-    source_key, target_key = key
-    source_key, target_key = tuple(source_key), tuple(target_key)
-    return np.fromiter(
-        (
-            _endpoint_entry(tuples, (u, v), u) == source_key
-            and _endpoint_entry(tuples, (u, v), v) == target_key
-            for u, v in edge_labels  # type: ignore[misc]
-        ),
-        dtype=bool,
-        count=len(edge_labels),
-    )
+        (match,) = _static_key_matches(graph, attributes, (key,))
+        if entities is not None:
+            frame = graph.node_presence
+            match = match[[frame.row_position(node) for node in entities]]
+        return match
+    source_match, target_match = _static_key_matches(graph, attributes, key)
+    sources, targets = _edge_endpoint_rows(graph, entities)
+    return source_match[sources] & target_match[targets]
 
 
-def _endpoint_entry(
-    mapping: dict[Hashable, Any], edge: Hashable, node: Hashable
-) -> Any:
-    """A per-node table entry for an edge endpoint; dangling edges raise
-    from the taxonomy instead of leaking a bare ``KeyError``."""
-    try:
-        return mapping[node]
-    except KeyError:
+def _static_key_matches(
+    graph: TemporalGraph, attributes: Sequence[str], keys: Sequence[Any]
+) -> list[np.ndarray]:
+    """Per key, which nodes' static attribute tuple equals it.
+
+    Values match by equality, as tuples compare element-wise: each
+    column is factorized with a dict and every key element resolved to
+    its code (a never-seen element matches no node).
+    """
+    attributes = tuple(attributes)
+    keys = [tuple(key) for key in keys]
+    matches = [
+        np.full(graph.n_nodes, len(key) == len(attributes)) for key in keys
+    ]
+    frame = graph.static_attrs
+    for position, name in enumerate(attributes):
+        column = frame.values[:, frame.col_position(name)].tolist()
+        code_of: dict[Any, int] = {}
+        codes = np.array(
+            [code_of.setdefault(value, len(code_of)) for value in column],
+            dtype=np.int64,
+        )
+        for match, key in zip(matches, keys):
+            if position < len(key):
+                match &= codes == code_of.get(key[position], _UNSEEN_CODE)
+    return matches
+
+
+def _edge_endpoint_rows(
+    graph: TemporalGraph, edges: Sequence[Hashable] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node rows of each edge's endpoints, raising from the taxonomy on
+    a dangling edge instead of leaking a bare ``KeyError``.
+
+    ``edges=None`` reads the storage's cached
+    :meth:`~repro.storage.GraphStorageBackend.edge_endpoint_rows`;
+    a subset resolves only its own endpoints.
+    """
+    if edges is None:
+        labels = graph.edge_presence.row_labels
+        sources, targets = graph.storage.edge_endpoint_rows()
+    else:
+        labels = tuple(edges)
+        frame = graph.node_presence
+        rows = np.array(
+            [
+                [frame.row_position(n) if frame.has_row(n) else -1 for n in edge]
+                for edge in cast("tuple[tuple[Hashable, ...], ...]", labels)
+            ],
+            dtype=np.intp,
+        ).reshape(len(labels), 2)
+        sources, targets = rows[:, 0], rows[:, 1]
+    broken = np.flatnonzero((sources < 0) | (targets < 0))
+    if broken.size:
+        row = int(broken[0])
+        edge = labels[row]
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            raise ExplorationError(f"edge {edge!r} is not a (source, target) pair")
+        node = edge[0] if sources[row] < 0 else edge[1]
         raise ExplorationError(
             f"edge {edge!r} references node {node!r} absent from "
             "node presence; the graph has dangling edges"
-        ) from None
+        )
+    return sources, targets
+
+
+def _unpack(bits: np.ndarray, n_entities: int) -> np.ndarray:
+    """Boolean ``(rows, n_entities)`` view of packed ``uint64`` rows."""
+    return np.unpackbits(
+        bits.view(np.uint8), axis=-1, count=n_entities, bitorder="little"
+    ).view(bool)
+
+
+#: ``np.bitwise_count`` (numpy >= 2.0), else ``None``.
+_BITWISE_COUNT = getattr(np, "bitwise_count", None)
+
+
+def _row_popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a ``(rows, n_words)`` ``uint64`` matrix."""
+    if _BITWISE_COUNT is not None:
+        return np.add.reduce(_BITWISE_COUNT(words), axis=1, dtype=np.int64)
+    return np.add.reduce(
+        np.unpackbits(words.view(np.uint8), axis=1), axis=1, dtype=np.int64
+    )
 
 
 class EventCounter:
@@ -197,13 +253,17 @@ class EventCounter:
         self.key = key
         if key is not None and not self.attributes:
             raise ExplorationError("a key filter requires aggregation attributes")
-        # Presence matrices come from the graph's storage backend, so
-        # exploration (and every ChainEvaluator built on this counter)
-        # reads whichever physical layout the graph selected.
-        self._node_presence = graph.storage.presence_matrix("nodes")
-        self._edge_presence = graph.storage.presence_matrix("edges")
+        # Presence is read from the graph's storage backend, and only
+        # for the counted entity: the exploration kernel ORs/ANDs the
+        # cached time-major bits directly, and the boolean matrix the
+        # per-pair paths index is unpacked from them on first use.
+        self._n_entities = (
+            graph.n_nodes if entity is EntityKind.NODES else graph.n_edges
+        )
+        self._presence_matrix: np.ndarray | None = None
         self._all_static = all(graph.is_static(a) for a in self.attributes)
         self._match_mask = self._build_match_mask() if self._all_static else None
+        self._match_bits: np.ndarray | None = None
         #: Integer tuple code per (entity row, time column); -1 marks an
         #: absent entity.  Only built for the time-varying fallback.
         self._entity_codes: np.ndarray | None = None
@@ -239,7 +299,11 @@ class EventCounter:
         ``np.unique`` over masked ids.
         """
         graph = self.graph
-        n_nodes, n_times = self._node_presence.shape
+        node_presence = (
+            self._presence()
+            if self.entity is EntityKind.NODES
+            else _unpack(graph.storage.presence_bits("nodes"), graph.n_nodes).T
+        )
         static_positions = {
             name: graph.static_attrs.col_position(name)
             for name in self.attributes
@@ -252,23 +316,15 @@ class EventCounter:
         }
         static_values = graph.static_attrs.values
         code_of: dict[tuple[Any, ...], int] = {}
-        codes = np.full((n_nodes, n_times), -1, dtype=np.int64)
-        for row in range(n_nodes):
-            static_part = {
-                name: static_values[row, pos]
-                for name, pos in static_positions.items()
-            }
-            for col in range(n_times):
-                if not self._node_presence[row, col]:
-                    continue
-                values = tuple(
-                    static_part[name]
-                    if name in static_part
-                    else varying_values[name][row, col]
-                    for name in self.attributes
-                )
-                code = code_of.setdefault(values, len(code_of))
-                codes[row, col] = code
+        codes = np.full(node_presence.shape, -1, dtype=np.int64)
+        for row, col in zip(*np.nonzero(node_presence)):
+            values = tuple(
+                static_values[row, static_positions[name]]
+                if name in static_positions
+                else varying_values[name][row, col]
+                for name in self.attributes
+            )
+            codes[row, col] = code_of.setdefault(values, len(code_of))
         base = max(1, len(code_of))
         if self.entity is EntityKind.NODES:
             self._entity_codes = codes
@@ -276,25 +332,7 @@ class EventCounter:
             if self.key is not None:
                 self._key_code = code_of.get(tuple(self.key), _UNSEEN_CODE)
             return
-        node_position = {
-            node: i for i, node in enumerate(graph.node_presence.row_labels)
-        }
-        source_rows = np.fromiter(
-            (
-                _endpoint_entry(node_position, (u, v), u)
-                for u, v in graph.edge_presence.row_labels  # type: ignore[misc]
-            ),
-            dtype=np.int64,
-            count=graph.n_edges,
-        )
-        target_rows = np.fromiter(
-            (
-                _endpoint_entry(node_position, (u, v), v)
-                for u, v in graph.edge_presence.row_labels  # type: ignore[misc]
-            ),
-            dtype=np.int64,
-            count=graph.n_edges,
-        )
+        source_rows, target_rows = _edge_endpoint_rows(graph)
         source_codes = codes[source_rows]
         target_codes = codes[target_rows]
         defined = (source_codes >= 0) & (target_codes >= 0)
@@ -315,10 +353,19 @@ class EventCounter:
     # Side qualification
     # ------------------------------------------------------------------
 
+    def presence_bits(self) -> np.ndarray:
+        """The counted entity's time-major packed presence (see
+        :meth:`~repro.storage.GraphStorageBackend.presence_bits`)."""
+        return self.graph.storage.presence_bits(self.entity.value)
+
     def _presence(self) -> np.ndarray:
-        if self.entity is EntityKind.NODES:
-            return self._node_presence
-        return self._edge_presence
+        """Boolean ``(n_entities, n_times)`` presence of the counted
+        entity, unpacked once from :meth:`presence_bits`."""
+        if self._presence_matrix is None:
+            self._presence_matrix = _unpack(
+                self.presence_bits(), self._n_entities
+            ).T
+        return self._presence_matrix
 
     def _qualify(self, side: Side) -> np.ndarray:
         """Boolean entity mask: qualifies on this side (ANY vs ALL)."""
@@ -367,6 +414,53 @@ class EventCounter:
         if self._all_static:
             return int(mask.sum())
         return self._count_appearances(event, old, new, mask)
+
+    @property
+    def counts_windows(self) -> bool:
+        """Whether a count reads the pair's time windows (time-varying
+        attributes) rather than only its event mask."""
+        return not self._all_static
+
+    @property
+    def match_bits(self) -> np.ndarray | None:
+        """The static key match packed like one row of
+        :meth:`presence_bits` (``None`` when no static key applies)."""
+        if self._match_bits is None and self._match_mask is not None:
+            packed = np.packbits(self._match_mask, bitorder="little")
+            words = np.zeros(-(-packed.size // 8) * 8, dtype=np.uint8)
+            words[: packed.size] = packed
+            self._match_bits = words.view(np.uint64)
+        return self._match_bits
+
+    def count_packed(
+        self,
+        event: EventType,
+        masks: np.ndarray,
+        sides: Sequence[tuple[Side, Side]] | None = None,
+    ) -> np.ndarray:
+        """``result(G)`` for each row of packed event masks.
+
+        ``masks`` is ``(n_pairs, n_words)`` ``uint64`` in the
+        :meth:`presence_bits` layout, already ANDed with
+        :attr:`match_bits` when a static key applies.  Mask-sum counts
+        are one popcount per row; when :attr:`counts_windows`, ``sides``
+        gives each row's ``(old, new)`` pair and every row is unpacked
+        and reduced through the appearance counting
+        :meth:`count_for_mask` uses.
+        """
+        if self._all_static:
+            return _row_popcount(masks)
+        if sides is None:
+            raise ExplorationError("time-varying counts need each row's sides")
+        rows = _unpack(masks, self._n_entities)
+        return np.fromiter(
+            (
+                self._count_appearances(event, old, new, row)
+                for (old, new), row in zip(sides, rows)
+            ),
+            dtype=np.int64,
+            count=len(rows),
+        )
 
     def _event_window_indices(
         self, event: EventType, old: Side, new: Side
@@ -444,8 +538,8 @@ class ChainEvaluator:
     ``incremental=False`` recomputes both side masks from scratch at
     every step — the naive per-pair path the seed implementation used.
     Both modes produce bit-identical masks and counts (asserted by the
-    parity suite); the flag exists for parity testing and for the
-    old-vs-new rows of ``benchmarks/bench_exploration_scaling.py``.
+    parity suite); the flag exists for the reference explorer's naive
+    mode in :mod:`repro.testing.reference_explore`.
     """
 
     def __init__(

@@ -28,11 +28,13 @@ can only lower the count, only the shortest pairs can be minimal (steps
 1-2 of U-Explore); when extension can only raise it, only the longest
 extension can be maximal.
 
-All strategies run through :class:`~repro.exploration.events.ChainEvaluator`,
-which maintains the extended side's qualification mask incrementally
-along each chain; pass ``incremental=False`` to force the naive
-re-reduce-every-pair path (bit-identical results, used by the parity
-suite and the scaling benchmark).
+All four strategies run through one kernel over the storage's
+time-major presence bits: every live reference's chain advances one
+level per numpy op (see the kernel section below).  The per-pair
+:class:`~repro.exploration.events.ChainEvaluator` walk survives as the
+reference explorer in :mod:`repro.testing.reference_explore`, which the
+parity suite and the ``exploration-variants-agree`` law diff the kernel
+against, and behind :func:`exhaustive_explore`, the unpruned oracle.
 """
 
 from __future__ import annotations
@@ -42,9 +44,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from ..core import TemporalGraph
+import numpy as np
+
+from ..core import Interval, TemporalGraph
 from ..parallel import InlineExecutor, get_executor, plan_chunks
-from .events import ChainEvaluator, ChainStep, EntityKind, EventCounter, EventType
+from .events import (
+    ChainEvaluator,
+    ChainStep,
+    EntityKind,
+    EventCounter,
+    EventType,
+    event_mask_from,
+)
 from .lattice import ExtendSide, Semantics, Side
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
@@ -52,6 +63,7 @@ from ..obs.trace import trace_span
 
 __all__ = [
     "Goal",
+    "Strategy",
     "ExtendSide",
     "IntervalPairResult",
     "ExplorationResult",
@@ -59,6 +71,7 @@ __all__ = [
     "i_explore",
     "explore",
     "exhaustive_explore",
+    "table1_strategy",
 ]
 
 
@@ -142,116 +155,262 @@ def _pair(step: ChainStep) -> IntervalPairResult:
     return IntervalPairResult(step.old, step.new, step.count)
 
 
-def _chain_capacity(n_times: int, reference: int, extend: ExtendSide) -> int:
-    """How many pairs the full (unpruned) chain of a reference holds."""
-    if extend is ExtendSide.NEW:
-        return n_times - 1 - reference
-    return reference + 1
+class Strategy(enum.Enum):
+    """How a Table-1 case walks its reference points (see the module
+    table): pruned union/intersection chains, or one of the two
+    degenerate single-pair-per-reference shortcuts."""
+
+    U_EXPLORE = "u-explore"
+    I_EXPLORE = "i-explore"
+    CONSECUTIVE = "consecutive"
+    LONGEST = "longest"
+
+    def __str__(self) -> str:
+        return self.value
 
 
-def _record_pruning(
-    n_times: int, reference: int, extend: ExtendSide, taken: int
-) -> None:
-    """Credit the monotonicity pruning with the chain steps it skipped."""
-    skipped = _chain_capacity(n_times, reference, extend) - taken
-    if skipped > 0:
-        get_metrics().inc("exploration.pruned_steps", skipped)
+def table1_strategy(event: EventType, goal: Goal, extend: ExtendSide) -> Strategy:
+    """The strategy Table 1 assigns to one ``(event, goal, extend)`` case."""
+    if event is EventType.STABILITY:
+        return Strategy.U_EXPLORE if goal is Goal.MINIMAL else Strategy.I_EXPLORE
+    # Shrinkage mirrors growth with the sides swapped.
+    growing = ExtendSide.NEW if event is EventType.GROWTH else ExtendSide.OLD
+    if goal is Goal.MINIMAL:
+        return Strategy.U_EXPLORE if extend is growing else Strategy.CONSECUTIVE
+    return Strategy.I_EXPLORE if extend is growing else Strategy.LONGEST
 
 
 # ----------------------------------------------------------------------
-# Ranged chunk workers
+# The exploration kernel
 #
-# Each Table-1 strategy iterates independent reference points, so its
-# loop body runs unchanged over any slice ``[start, stop)`` of the
-# reference range.  The serial path executes the same worker over the
-# full range ``(0, references)`` — parallel and serial results are the
-# same function applied to a partition vs. the whole, concatenated in
-# chunk order, hence bit-identical.  Workers return
-# ``(pairs, evaluations)``; pruning/chain metrics accumulate in the
-# worker registry and are merged back by the pool.
+# Every Table-1 strategy iterates independent reference points.  The
+# kernel advances all of a slice's references together, one chain level
+# per numpy op, over the storage's time-major presence bits
+# (``GraphStorageBackend.presence_bits``): each level ORs/ANDs one
+# gathered time row into every live chain's extended side and counts the
+# whole level with one popcount.  Rows leave the live set under the
+# U-/I-Explore stopping rules, so the evaluated pairs — and hence
+# ``evaluations`` and the ``exploration.*`` counters — are exactly those
+# of the per-step walk (``repro.testing.reference_explore``).
+#
+# The kernel takes a reference range ``[start, stop)``: the serial path
+# runs it over ``(0, references)``, a pool over the chunk planner's
+# partition, concatenated in chunk order — hence bit-identical.  It
+# returns ``(pairs, evaluations)``; counters accumulate in the worker
+# registry and are merged back by the pool.
 # ----------------------------------------------------------------------
 
-#: ``(counter, event, extend, k, incremental)`` — shared with every chunk.
-_StrategyPayload = tuple[EventCounter, EventType, ExtendSide, int, bool]
+#: ``(counter, event, strategy, extend, k)`` — shared with every chunk.
+_KernelPayload = tuple[EventCounter, EventType, Strategy, ExtendSide, int]
 #: One slice ``(start, stop)`` of chain reference indices.
 _ReferenceRange = tuple[int, int]
 _ChunkResult = tuple[list[IntervalPairResult], int]
 
 
-def _u_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
-    """U-Explore over one slice of reference points."""
-    counter, event, extend, k, incremental = payload
+def _explore_chunk(payload: _KernelPayload, task: _ReferenceRange) -> _ChunkResult:
+    """The exploration kernel over one slice of reference points."""
+    counter, event, strategy, extend, k = payload
     start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    n_times = len(counter.graph.timeline)
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for reference in range(start, stop):
-        taken = 0
-        for step in evaluator.chain(reference, extend, Semantics.UNION):
-            taken += 1
-            evaluations += 1
-            if step.count >= k:
-                pairs.append(_pair(step))
-                break
-        _record_pruning(n_times, reference, extend, taken)
+    if stop <= start:
+        return [], 0
+    if strategy is Strategy.U_EXPLORE or strategy is Strategy.I_EXPLORE:
+        pairs, evaluations = _walk_chains(
+            counter, event, strategy is Strategy.U_EXPLORE, extend, k, start, stop
+        )
+    else:
+        pairs, evaluations = _walk_degenerate(
+            counter, event, strategy, extend, k, start, stop
+        )
+    get_metrics().inc("exploration.chain_steps", evaluations)
     return pairs, evaluations
 
 
-def _i_chunk(payload: _StrategyPayload, task: _ReferenceRange) -> _ChunkResult:
-    """I-Explore over one slice of reference points."""
-    counter, event, extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    n_times = len(counter.graph.timeline)
-    pairs: list[IntervalPairResult] = []
+def _chain_sides(
+    reference: int, level: int, extend: ExtendSide, semantics: Semantics
+) -> tuple[Side, Side]:
+    """The pair at ``level`` (0-based) of one reference's chain."""
+    if extend is ExtendSide.NEW:
+        return Side.point(reference), Side(
+            Interval(reference + 1, reference + 1 + level), semantics
+        )
+    return Side(Interval(reference - level, reference), semantics), Side.point(
+        reference + 1
+    )
+
+
+def _fixed_term(
+    event: EventType,
+    extend: ExtendSide,
+    fixed: np.ndarray,
+    match: np.ndarray | None,
+) -> tuple[np.ndarray, bool]:
+    """Fold the event and the key match into the chains' fixed side.
+
+    Returns ``(term, negate)``: every level's packed event mask is
+    ``term & extended`` (``negate``: ``term & ~extended``), so a level
+    costs one AND however the event combines the two sides.
+    """
+    negate = False
+    if event is not EventType.STABILITY:
+        # growth = new & ~old, shrinkage = old & ~new: the fixed side is
+        # the negated one when it is growth's old or shrinkage's new.
+        if (event is EventType.GROWTH) is (extend is ExtendSide.NEW):
+            fixed = ~fixed
+        else:
+            negate = True
+    if match is not None:
+        fixed = fixed & match
+    return fixed, negate
+
+
+def _walk_chains(
+    counter: EventCounter,
+    event: EventType,
+    union: bool,
+    extend: ExtendSide,
+    k: int,
+    start: int,
+    stop: int,
+) -> _ChunkResult:
+    """U-Explore (``union``) or I-Explore, level-synchronous.
+
+    ``refs`` lists the live chains' reference points in ascending order;
+    ``fixed`` holds their reference side (folded with the event and the
+    key by :func:`_fixed_term`) and ``extended`` their extended side,
+    compacted together.  U-Explore drops a row at its first passing pair
+    (the minimal one); I-Explore keeps a row while it passes and reports
+    its last passing pair (the maximal one).  Chains run out of time
+    points largest-reference-first when extending NEW and
+    smallest-first when extending OLD, so exhausted rows are always a
+    suffix (NEW) or prefix (OLD) of ``refs`` and leave by slicing.
+    """
+    bits = counter.presence_bits()
+    n_times = bits.shape[0]
+    semantics = Semantics.UNION if union else Semantics.INTERSECTION
+    refs = np.arange(start, stop)
+    n_refs = stop - start
+    if extend is ExtendSide.NEW:
+        fixed, extended = bits[refs], bits[refs + 1]
+        capacity = n_refs * (n_times - 1) - (start + stop - 1) * n_refs // 2
+    else:
+        fixed, extended = bits[refs + 1], bits[refs]
+        capacity = (start + stop + 1) * n_refs // 2
+    fixed, negate = _fixed_term(event, extend, fixed, counter.match_bits)
+    hit_level = np.full(stop - start, -1, dtype=np.int64)
+    hit_count = np.zeros(stop - start, dtype=np.int64)
     evaluations = 0
-    for reference in range(start, stop):
-        candidate: IntervalPairResult | None = None
-        taken = 0
-        for step in evaluator.chain(reference, extend, Semantics.INTERSECTION):
-            taken += 1
-            evaluations += 1
-            if step.count >= k:
-                candidate = _pair(step)
+    level = 0
+    while refs.size:
+        masks = fixed & ~extended if negate else fixed & extended
+        sides = (
+            [_chain_sides(r, level, extend, semantics) for r in refs.tolist()]
+            if counter.counts_windows
+            else None
+        )
+        counts = counter.count_packed(event, masks, sides)
+        evaluations += refs.size
+        passing = counts >= k
+        n_passing = np.count_nonzero(passing)
+        if n_passing:
+            if n_passing < refs.size:
+                rows, counts = refs[passing] - start, counts[passing]
             else:
-                break
-        _record_pruning(n_times, reference, extend, taken)
-        if candidate is not None:
-            pairs.append(candidate)
+                rows = refs - start
+            hit_level[rows] = level
+            hit_count[rows] = counts
+        # U-Explore keeps the failing rows, I-Explore the passing ones.
+        n_keep = refs.size - n_passing if union else n_passing
+        if not n_keep:
+            break
+        if n_keep < refs.size:
+            keep = ~passing if union else passing
+            refs, fixed, extended = refs[keep], fixed[keep], extended[keep]
+        level += 1
+        if extend is ExtendSide.NEW:
+            cut = int(refs.searchsorted(n_times - 1 - level))
+            refs, fixed, extended = refs[:cut], fixed[:cut], extended[:cut]
+            column = bits[refs + (1 + level)]
+        else:
+            cut = int(refs.searchsorted(level))
+            refs, fixed, extended = refs[cut:], fixed[cut:], extended[cut:]
+            column = bits[refs - level]
+        if union:
+            extended |= column
+        else:
+            extended &= column
+    metrics = get_metrics()
+    metrics.inc("exploration.chains", stop - start)
+    if capacity > evaluations:
+        metrics.inc("exploration.pruned_steps", capacity - evaluations)
+    rows = np.flatnonzero(hit_level >= 0)
+    pairs = [
+        IntervalPairResult(*_chain_sides(start + row, lvl, extend, semantics), c)
+        for row, lvl, c in zip(
+            rows.tolist(), hit_level[rows].tolist(), hit_count[rows].tolist()
+        )
+    ]
     return pairs, evaluations
 
 
-def _consecutive_chunk(
-    payload: _StrategyPayload, task: _ReferenceRange
+def _degenerate_sides(
+    strategy: Strategy, extend: ExtendSide, reference: int, n_times: int
+) -> tuple[Side, Side]:
+    """The single pair the degenerate strategies evaluate per reference."""
+    if strategy is Strategy.CONSECUTIVE:
+        return Side.point(reference), Side.point(reference + 1)
+    if extend is ExtendSide.OLD:
+        return (
+            Side(Interval(0, reference), Semantics.INTERSECTION),
+            Side.point(reference + 1),
+        )
+    return Side.point(reference), Side(
+        Interval(reference + 1, n_times - 1), Semantics.INTERSECTION
+    )
+
+
+def _walk_degenerate(
+    counter: EventCounter,
+    event: EventType,
+    strategy: Strategy,
+    extend: ExtendSide,
+    k: int,
+    start: int,
+    stop: int,
 ) -> _ChunkResult:
-    """Consecutive-pairs strategy over one slice of reference points."""
-    counter, event, _extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for step in evaluator.consecutive(start, stop):
-        evaluations += 1
-        if step.count >= k:
-            pairs.append(_pair(step))
-    return pairs, evaluations
-
-
-def _longest_chunk(
-    payload: _StrategyPayload, task: _ReferenceRange
-) -> _ChunkResult:
-    """Longest-extension strategy over one slice of reference points."""
-    counter, event, extend, k, incremental = payload
-    start, stop = task
-    evaluator = ChainEvaluator(counter, event, incremental=incremental)
-    pairs: list[IntervalPairResult] = []
-    evaluations = 0
-    for step in evaluator.longest(extend, start, stop):
-        evaluations += 1
-        if step.count >= k:
-            pairs.append(_pair(step))
-    return pairs, evaluations
+    """Consecutive pairs (one ``W[:-1]``/``W[1:]`` op) or longest
+    intersection extensions (one ``bitwise_and.accumulate``)."""
+    bits = counter.presence_bits()
+    n_times = bits.shape[0]
+    if strategy is Strategy.CONSECUTIVE:
+        old_bits, new_bits = bits[start:stop], bits[start + 1 : stop + 1]
+    elif extend is ExtendSide.OLD:
+        old_bits = np.bitwise_and.accumulate(bits[:stop], axis=0)[start:]
+        new_bits = bits[start + 1 : stop + 1]
+    else:
+        # Suffix ANDs of rows start+1 .. n_times-1, nearest-first.
+        suffix = np.bitwise_and.accumulate(bits[:start:-1], axis=0)[::-1]
+        old_bits, new_bits = bits[start:stop], suffix[: stop - start]
+    masks = event_mask_from(event, old_bits, new_bits)
+    match = counter.match_bits
+    if match is not None:
+        masks &= match
+    sides = (
+        [
+            _degenerate_sides(strategy, extend, reference, n_times)
+            for reference in range(start, stop)
+        ]
+        if counter.counts_windows
+        else None
+    )
+    counts = counter.count_packed(event, masks, sides)
+    pairs = [
+        IntervalPairResult(
+            *_degenerate_sides(strategy, extend, start + int(row), n_times),
+            int(counts[row]),
+        )
+        for row in np.flatnonzero(counts >= k)
+    ]
+    return pairs, stop - start
 
 
 def _run_strategy(
@@ -298,7 +457,6 @@ def u_explore(
     extend: ExtendSide,
     k: int,
     *,
-    incremental: bool = True,
     parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Union Exploration (Section 3.2): minimal pairs with >= k events.
@@ -310,7 +468,10 @@ def u_explore(
     distributes them without touching the per-chain pruning.
     """
     pairs, evaluations = _run_strategy(
-        _u_chunk, (counter, event, extend, k, incremental), counter, parallelism
+        _explore_chunk,
+        (counter, event, Strategy.U_EXPLORE, extend, k),
+        counter,
+        parallelism,
     )
     return ExplorationResult(event, Goal.MINIMAL, extend, k, pairs, evaluations)
 
@@ -321,7 +482,6 @@ def i_explore(
     extend: ExtendSide,
     k: int,
     *,
-    incremental: bool = True,
     parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Intersection Exploration (Section 3.2): maximal pairs with >= k.
@@ -333,47 +493,8 @@ def i_explore(
     pruned entirely (step 2 of the paper's algorithm).
     """
     pairs, evaluations = _run_strategy(
-        _i_chunk, (counter, event, extend, k, incremental), counter, parallelism
-    )
-    return ExplorationResult(event, Goal.MAXIMAL, extend, k, pairs, evaluations)
-
-
-def _consecutive_only(
-    counter: EventCounter,
-    event: EventType,
-    extend: ExtendSide,
-    k: int,
-    *,
-    incremental: bool = True,
-    parallelism: int | str | None = None,
-) -> ExplorationResult:
-    """Degenerate minimal case: the operator is monotonically decreasing
-    under the requested extension, so only consecutive point pairs can be
-    minimal (Sections 3.3/3.4)."""
-    pairs, evaluations = _run_strategy(
-        _consecutive_chunk,
-        (counter, event, extend, k, incremental),
-        counter,
-        parallelism,
-    )
-    return ExplorationResult(event, Goal.MINIMAL, extend, k, pairs, evaluations)
-
-
-def _longest_only(
-    counter: EventCounter,
-    event: EventType,
-    extend: ExtendSide,
-    k: int,
-    *,
-    incremental: bool = True,
-    parallelism: int | str | None = None,
-) -> ExplorationResult:
-    """Degenerate maximal case: the operator is monotonically increasing
-    under the requested extension, so for each reference the longest
-    extension is the only candidate maximal pair."""
-    pairs, evaluations = _run_strategy(
-        _longest_chunk,
-        (counter, event, extend, k, incremental),
+        _explore_chunk,
+        (counter, event, Strategy.I_EXPLORE, extend, k),
         counter,
         parallelism,
     )
@@ -390,7 +511,6 @@ def explore(
     attributes: Sequence[str] = (),
     key: Any = None,
     *,
-    incremental: bool = True,
     parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Run one of the eight Table-1 exploration cases.
@@ -400,7 +520,8 @@ def explore(
     graph:
         The temporal graph to explore.
     event, goal, extend:
-        Which Table-1 row to run.
+        Which Table-1 row to run (:func:`table1_strategy` names the
+        strategy it selects).
     k:
         The event-count threshold (see
         :func:`repro.exploration.thresholds.suggest_threshold`).
@@ -408,9 +529,6 @@ def explore(
         What to count — e.g. ``entity=EDGES, attributes=["gender"],
         key=(("f",), ("f",))`` counts female-female edges as in the
         paper's Figures 13/14.
-    incremental:
-        Evaluate chains incrementally (the default) or naively per pair;
-        the results are identical, only the cost differs.
     parallelism:
         ``None`` (ambient default — see :mod:`repro.parallel`), a worker
         count, or ``"auto"``.  Chains are distributed over reference
@@ -424,30 +542,13 @@ def explore(
         "explore", event=str(event), goal=str(goal), extend=str(extend), k=k
     ):
         counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-        kwargs: dict[str, Any] = {
-            "incremental": incremental,
-            "parallelism": parallelism,
-        }
-        if event is EventType.STABILITY:
-            if goal is Goal.MINIMAL:
-                return u_explore(counter, event, extend, k, **kwargs)
-            return i_explore(counter, event, extend, k, **kwargs)
-        if event is EventType.GROWTH:
-            if goal is Goal.MINIMAL:
-                if extend is ExtendSide.NEW:
-                    return u_explore(counter, event, extend, k, **kwargs)
-                return _consecutive_only(counter, event, extend, k, **kwargs)
-            if extend is ExtendSide.OLD:
-                return _longest_only(counter, event, extend, k, **kwargs)
-            return i_explore(counter, event, extend, k, **kwargs)
-        # Shrinkage mirrors growth with the sides swapped.
-        if goal is Goal.MINIMAL:
-            if extend is ExtendSide.OLD:
-                return u_explore(counter, event, extend, k, **kwargs)
-            return _consecutive_only(counter, event, extend, k, **kwargs)
-        if extend is ExtendSide.NEW:
-            return _longest_only(counter, event, extend, k, **kwargs)
-        return i_explore(counter, event, extend, k, **kwargs)
+        pairs, evaluations = _run_strategy(
+            _explore_chunk,
+            (counter, event, table1_strategy(event, goal, extend), extend, k),
+            counter,
+            parallelism,
+        )
+        return ExplorationResult(event, goal, extend, k, pairs, evaluations)
 
 
 def _exhaustive_chunk(

@@ -2,9 +2,9 @@
 
 ``repro.storage`` separates GraphTempo's logical graph model from its
 physical layout.  The :class:`GraphStorageBackend` contract defines the
-four primitives every reader needs (presence reductions, time slicing,
-attribute columns, adjacency scans) plus a lossless ``to_frames``
-round-trip; two implementations ship:
+primitives every reader needs (presence reductions, time slicing,
+attribute columns, adjacency scans, time-major presence bits) plus a
+lossless ``to_frames`` round-trip; two implementations ship:
 
 * :class:`DenseBackend` — the existing :class:`~repro.frames.LabeledFrame`
   arrays, wrapped without copies (bit-exact with the pre-substrate code

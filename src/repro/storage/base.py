@@ -10,7 +10,10 @@ primitives over the Section-4 arrays:
   (:meth:`GraphStorageBackend.slice_time`);
 * **attribute column reads** (:meth:`GraphStorageBackend.attribute_column`);
 * **edge endpoint rows** resolving edge endpoints to node rows
-  (:meth:`GraphStorageBackend.edge_endpoint_rows`).
+  (:meth:`GraphStorageBackend.edge_endpoint_rows`);
+* **time-major presence bits** — one packed ``uint64`` row of entity
+  bits per time point (:meth:`GraphStorageBackend.presence_bits`), the
+  layout the exploration kernel ORs/ANDs whole chains over.
 
 A :class:`GraphStorageBackend` implements those primitives over some
 physical layout and round-trips losslessly to the dense
@@ -101,6 +104,9 @@ class GraphStorageBackend(ABC):
 
     #: Registry key; subclasses override.
     name: ClassVar[str] = "abstract"
+
+    #: :meth:`presence_bits` per entity, filled on first read.
+    _presence_bits: dict[str, np.ndarray]
 
     # ------------------------------------------------------------------
     # Construction / round-trip
@@ -278,6 +284,30 @@ class GraphStorageBackend(ABC):
         check share one pass per graph.
         """
 
+    def presence_bits(self, entity: str) -> np.ndarray:
+        """Time-major packed presence: ``(n_times, ceil(n_entities / 64))``.
+
+        Row ``t`` holds the presence column of time point ``t`` as
+        ``uint64`` words; entity ``i`` is bit ``i % 64`` of word
+        ``i // 64`` in little bit order, so ``bits.view(np.uint8)``
+        equals ``np.packbits(presence_matrix(entity).T, axis=1,
+        bitorder="little")`` followed by zero padding bytes.  Padding
+        bits past the last entity are always zero.  The array is
+        read-only and computed at most once per backend, lazily on the
+        first call, so readers of one graph version share it.
+        """
+        cache: dict[str, np.ndarray] | None = getattr(self, "_presence_bits", None)
+        if cache is None:
+            cache = self._presence_bits = {}
+        bits = cache.get(entity)
+        if bits is None:
+            bits = cache[entity] = _pack_time_major(self.presence_matrix(entity))
+        elif bits.flags.writeable:
+            # Unpickling (a pool worker's copy of the backend) drops the
+            # read-only flag; restore it before handing the array out.
+            bits.flags.writeable = False
+        return bits
+
     def adjacency_scan(self) -> Iterator[tuple[Any, int, int]]:
         """Yield ``(edge_label, source_row, target_row)`` per edge, in
         storage order — :meth:`edge_endpoint_rows` one edge at a time."""
@@ -314,6 +344,18 @@ class GraphStorageBackend(ABC):
             f"{type(self).__name__}({len(self.node_labels)} nodes, "
             f"{len(self.edge_labels)} edges, {len(self.times)} time points)"
         )
+
+
+def _pack_time_major(presence: np.ndarray) -> np.ndarray:
+    """Pack an ``(n_entities, n_times)`` boolean matrix into the
+    read-only, zero-padded ``(n_times, n_words)`` ``uint64`` layout of
+    :meth:`GraphStorageBackend.presence_bits`."""
+    n_entities, n_times = presence.shape
+    padded = np.zeros((n_times, -(-n_entities // 64) * 64), dtype=bool)
+    padded[:, :n_entities] = presence.T
+    bits = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    bits.flags.writeable = False
+    return bits
 
 
 def _timeline(times: Sequence[Hashable]) -> Any:

@@ -2,8 +2,9 @@
 
 Downstream code building on GraphTempo needs the same things this
 repository's own suite needs — seedable random temporal graphs, the
-paper's algebraic identities as executable laws, the literal Algorithm 2
-and set-based evolution as reference engines, and a differential oracle
+paper's algebraic identities as executable laws, the literal Algorithm 2,
+set-based evolution and the per-step exploration walk as reference
+engines, and a differential oracle
 over every engine/store variant.  See ``docs/testing.md`` for the full
 tour and ``repro fuzz --help`` for the CLI.
 
@@ -26,6 +27,7 @@ from .generators import (
     random_time_sets,
 )
 from .laws import Law, get_laws, law_registry, register_law
+from .reference_explore import reference_explore
 from . import oracle as _oracle  # noqa: F401  (registers differential laws)
 from .shrink import reproducer_snippet, shrink_graph, write_reproducer
 from .fuzz import HOSTILE_EVERY, FuzzFailure, FuzzReport, run_fuzz
@@ -55,6 +57,7 @@ __all__ = [
     "get_laws",
     "law_registry",
     "register_law",
+    "reference_explore",
     "reproducer_snippet",
     "shrink_graph",
     "write_reproducer",

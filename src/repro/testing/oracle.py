@@ -2,9 +2,9 @@
 
 The repo deliberately keeps several independently-optimized code paths
 per operation — the literal Algorithm 2 transcription vs the vectorized
-engine, fresh aggregation vs materialized derivation, naive vs
-incremental exploration.  These laws run one random workload through
-*all* variants and diff the results bit-exactly (via the ``diff`` hooks
+engine, fresh aggregation vs materialized derivation, the exploration
+kernel vs the per-step chain walk.  These laws run one random workload
+through *all* variants and diff the results bit-exactly (via the ``diff`` hooks
 on :class:`~repro.core.AggregateGraph` and
 :class:`~repro.exploration.explore.ExplorationResult`).  On hostile
 graphs the engines must also *fail* identically: same taxonomy error
@@ -16,17 +16,28 @@ Importing this module registers the laws; :mod:`repro.testing`'s
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import Any
+
 import numpy as np
 
 from ..core import TemporalGraph, aggregate, aggregate_evolution, presence_signature
 from ..errors import GraphTempoError
 from ..exploration.events import EntityKind, EventType
-from ..exploration.explore import ExtendSide, Goal, exhaustive_explore, explore
+from ..exploration.explore import (
+    ExplorationResult,
+    ExtendSide,
+    Goal,
+    exhaustive_explore,
+    explore,
+)
 from ..materialize.incremental import IncrementalStore
 from ..materialize.store import MaterializedStore
+from ..obs.metrics import get_metrics
 from .algorithm2 import aggregate_evolution_reference, aggregation_engines
 from .generators import random_time_sets
 from .laws import register_law
+from .reference_explore import reference_explore
 
 __all__ = ["DIFFERENTIAL_LAW_NAMES"]
 
@@ -174,9 +185,75 @@ def _incremental_replay_agrees(
     return None
 
 
+_EXPLORATION_COUNTERS = (
+    "exploration.runs",
+    "exploration.chains",
+    "exploration.chain_steps",
+    "exploration.pruned_steps",
+)
+
+
+def _counted(
+    run: Callable[[], ExplorationResult],
+) -> tuple[ExplorationResult, tuple[int, ...]]:
+    """Run one explorer; return its result and ``exploration.*`` deltas."""
+    metrics = get_metrics()
+    before = [metrics.counter(name) for name in _EXPLORATION_COUNTERS]
+    result = run()
+    after = [metrics.counter(name) for name in _EXPLORATION_COUNTERS]
+    return result, tuple(b - a for a, b in zip(before, after))
+
+
+def _kernel_vs_walks(
+    graph: TemporalGraph,
+    case: tuple[EventType, Goal, ExtendSide, int],
+    entity: EntityKind,
+    attrs: list[str],
+    key: Any,
+) -> str | None:
+    """The kernel against the reference walk in both modes: identical
+    pairs (in order), counts, ``evaluations`` and counter deltas."""
+    kernel, kernel_counts = _counted(
+        lambda: explore(graph, *case, entity, attrs, key)
+    )
+    for incremental in (True, False):
+        walk, walk_counts = _counted(
+            lambda: reference_explore(
+                graph, *case, entity, attrs, key, incremental=incremental
+            )
+        )
+        mode = "incremental" if incremental else "naive"
+        where = f"{'/'.join(map(str, case))} {entity} attrs={attrs!r} key={key!r}"
+        if kernel.pairs != walk.pairs:
+            problems = kernel.diff(walk) or ("same pairs in a different order",)
+            return f"kernel vs {mode} walk on {where}: {problems[0]}"
+        if kernel.evaluations != walk.evaluations:
+            return (
+                f"kernel vs {mode} walk on {where}: evaluations "
+                f"{kernel.evaluations} != {walk.evaluations}"
+            )
+        if kernel_counts != walk_counts:
+            return (
+                f"kernel vs {mode} walk on {where}: counters "
+                f"{kernel_counts} != {walk_counts} {_EXPLORATION_COUNTERS}"
+            )
+    return None
+
+
+def _random_case(
+    rng: np.random.Generator,
+) -> tuple[tuple[EventType, Goal, ExtendSide, int], EntityKind]:
+    event = tuple(EventType)[int(rng.integers(3))]
+    goal = tuple(Goal)[int(rng.integers(2))]
+    extend = tuple(ExtendSide)[int(rng.integers(2))]
+    entity = EntityKind.EDGES if rng.integers(2) else EntityKind.NODES
+    return (event, goal, extend, int(rng.integers(1, 4))), entity
+
+
 @register_law(
     "exploration-variants-agree",
-    "incremental, naive and exhaustive exploration report the same pairs",
+    "the exploration kernel, the per-step reference walk (incremental and "
+    "naive) and exhaustive exploration report the same pairs",
     hostile_safe=False,
 )
 def _exploration_variants_agree(
@@ -184,10 +261,7 @@ def _exploration_variants_agree(
 ) -> str | None:
     if len(graph.timeline) < 2:
         return None
-    event = tuple(EventType)[int(rng.integers(3))]
-    goal = tuple(Goal)[int(rng.integers(2))]
-    extend = tuple(ExtendSide)[int(rng.integers(2))]
-    entity = EntityKind.EDGES if rng.integers(2) else EntityKind.NODES
+    case, entity = _random_case(rng)
     # Monotonicity (which the pruned strategies rely on) holds for
     # mask-sum counts: static attributes only, with or without a key.
     attrs = (
@@ -204,29 +278,69 @@ def _exploration_variants_agree(
             for i, a in enumerate(attrs)
         )
         key = node_key if entity is EntityKind.NODES else (node_key, node_key)
-    k = int(rng.integers(1, 4))
-    baseline = explore(
-        graph, event, goal, extend, k, entity, attrs, key, incremental=True
-    )
-    variants = {
-        "explore-naive": explore(
-            graph, event, goal, extend, k, entity, attrs, key, incremental=False
-        ),
-        "exhaustive-incremental": exhaustive_explore(
-            graph, event, goal, extend, k, entity, attrs, key, incremental=True
-        ),
-        "exhaustive-naive": exhaustive_explore(
-            graph, event, goal, extend, k, entity, attrs, key, incremental=False
-        ),
-    }
-    for name, result in variants.items():
-        problems = baseline.diff(result)
-        if problems:
-            return (
-                f"explore-incremental vs {name} on {event}/{goal}/{extend} "
-                f"k={k} attrs={attrs!r} key={key!r}: {problems[0]}"
-            )
+    problem = _kernel_vs_walks(graph, case, entity, attrs, key)
+    if problem:
+        return problem
+    kernel = explore(graph, *case, entity, attrs, key)
+    problems = kernel.diff(exhaustive_explore(graph, *case, entity, attrs, key))
+    if problems:
+        return (
+            f"kernel vs exhaustive on {'/'.join(map(str, case))} "
+            f"attrs={attrs!r} key={key!r}: {problems[0]}"
+        )
     return None
+
+
+@register_law(
+    "exploration-kernel-matches-walk",
+    "with any attributes — time-varying included, keyed or not — the "
+    "exploration kernel reproduces the per-step walk's pairs, counts, "
+    "evaluations and counters, or both raise the same taxonomy error",
+)
+def _exploration_kernel_matches_walk(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    case, entity = _random_case(rng)
+    attrs = _pick_attributes(rng, graph)
+    key = None
+    if attrs and rng.integers(2):
+        key = _random_key(rng, graph, attrs, entity)
+    errors = {}
+    for name, run in (
+        ("kernel", lambda: explore(graph, *case, entity, attrs, key)),
+        ("walk", lambda: reference_explore(graph, *case, entity, attrs, key)),
+    ):
+        try:
+            run()
+        except GraphTempoError as exc:
+            errors[name] = type(exc).__name__
+    if errors:
+        if len(errors) != 2 or len(set(errors.values())) != 1:
+            return f"explorers split on errors: {errors!r}"
+        return None
+    return _kernel_vs_walks(graph, case, entity, attrs, key)
+
+
+def _random_key(
+    rng: np.random.Generator,
+    graph: TemporalGraph,
+    attrs: list[str],
+    entity: EntityKind,
+) -> Any:
+    """A node tuple seen at some present cell — or, one time in four, a
+    tuple that never occurs."""
+    present = np.argwhere(graph.node_presence.values)
+    if not len(present) or rng.integers(4) == 0:
+        node_key: tuple[Any, ...] = tuple("never-seen" for _ in attrs)
+    else:
+        row, col = present[int(rng.integers(len(present)))]
+        node_key = tuple(
+            graph.static_attrs.values[row, graph.static_attrs.col_position(a)]
+            if graph.is_static(a)
+            else graph.varying_attrs[a].values[row, col]
+            for a in attrs
+        )
+    return node_key if entity is EntityKind.NODES else (node_key, node_key)
 
 
 @register_law(

@@ -1,11 +1,14 @@
-"""Parity suite: the incremental chain evaluator vs. the naive path.
+"""Parity suite: the exploration kernel vs. the per-step chain walk.
 
-The incremental engine (reference mask once per chain, extended mask
-maintained by one OR/AND per step, vectorized appearance counting) must
-be *bit-identical* to the naive per-pair evaluation across all eight
+The frontier-batched kernel behind ``explore`` (packed presence bits,
+one OR/AND per chain level for every live reference) must be
+*bit-identical* to the reference explorer's per-step
+:class:`ChainEvaluator` walk — incremental and naive — across all eight
 Table-1 strategy cases, on the example graph and on the MovieLens/DBLP
 fixtures, with static and time-varying attributes, with and without
-keys.  Any drift here is a correctness bug, not a tolerance issue.
+keys.  The chain evaluator's incremental masks must in turn equal the
+naive per-pair reduction.  Any drift here is a correctness bug, not a
+tolerance issue.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
 )
+from repro.testing import reference_explore
 
 TABLE1_CASES = list(itertools.product(EventType, Goal, ExtendSide))
 
@@ -61,15 +65,18 @@ def _graph(request, name):
 
 
 class TestExploreParity:
-    """explore() — all eight Table-1 cases, incremental vs. naive."""
+    """explore() — all eight Table-1 cases, kernel vs. both walks."""
 
     @pytest.mark.parametrize("event,goal,extend", TABLE1_CASES)
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_table1_case(self, request, dataset, event, goal, extend):
         graph = _graph(request, dataset)
-        fast = explore(graph, event, goal, extend, 1, incremental=True)
-        slow = explore(graph, event, goal, extend, 1, incremental=False)
-        assert fast == slow
+        kernel = explore(graph, event, goal, extend, 1)
+        for incremental in (True, False):
+            walk = reference_explore(
+                graph, event, goal, extend, 1, incremental=incremental
+            )
+            assert kernel == walk
 
     @pytest.mark.parametrize("dataset", DATASETS)
     def test_attribute_configs(self, request, dataset):
@@ -81,13 +88,11 @@ class TestExploreParity:
                 (EventType.SHRINKAGE, Goal.MAXIMAL, ExtendSide.OLD),
             ):
                 kwargs = dict(entity=entity, attributes=attributes, key=key)
-                fast = explore(
-                    graph, event, goal, extend, 1, incremental=True, **kwargs
-                )
-                slow = explore(
+                kernel = explore(graph, event, goal, extend, 1, **kwargs)
+                walk = reference_explore(
                     graph, event, goal, extend, 1, incremental=False, **kwargs
                 )
-                assert fast == slow, (entity, attributes, key, event, goal, extend)
+                assert kernel == walk, (entity, attributes, key, event, goal, extend)
 
 
 class TestExhaustiveParity:
@@ -154,12 +159,15 @@ class TestChainStepMasks:
                     assert step.count == counter.count(event, step.old, step.new)
 
     def test_evaluations_match_between_modes(self, small_dblp):
-        """Pruning decisions are identical, so both modes evaluate the
-        same number of pairs."""
+        """Pruning decisions are identical, so the kernel and both walk
+        modes evaluate the same number of pairs."""
         for event, goal, extend in TABLE1_CASES:
-            fast = explore(small_dblp, event, goal, extend, 2, incremental=True)
-            slow = explore(small_dblp, event, goal, extend, 2, incremental=False)
-            assert fast.evaluations == slow.evaluations
+            kernel = explore(small_dblp, event, goal, extend, 2)
+            for incremental in (True, False):
+                walk = reference_explore(
+                    small_dblp, event, goal, extend, 2, incremental=incremental
+                )
+                assert kernel.evaluations == walk.evaluations
 
 
 class TestVectorizedAppearanceParity:

@@ -36,7 +36,12 @@ from repro.exploration import (
 )
 from repro.parallel import parallelism_scope
 from repro.session import GraphTempoSession
-from repro.testing import aggregate_algorithm2, law_registry, run_fuzz
+from repro.testing import (
+    aggregate_algorithm2,
+    law_registry,
+    reference_explore,
+    run_fuzz,
+)
 
 WORKER_COUNTS = (2, 4)
 
@@ -139,7 +144,8 @@ def test_explore_parity_every_case(graph, event, goal, extend, workers):
 
 @pytest.mark.parametrize("incremental", [True, False])
 def test_explore_parity_incremental_and_naive(graph, incremental):
-    serial = explore(
+    """The pooled kernel against the serial per-step reference walk."""
+    serial = reference_explore(
         graph,
         EventType.STABILITY,
         Goal.MAXIMAL,
@@ -153,7 +159,6 @@ def test_explore_parity_incremental_and_naive(graph, incremental):
         Goal.MAXIMAL,
         ExtendSide.NEW,
         2,
-        incremental=incremental,
         parallelism=2,
     )
     assert serial.diff(pooled) == ()

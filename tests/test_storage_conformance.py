@@ -23,6 +23,7 @@ re-checks the same parity continuously under ``repro fuzz``.
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -417,6 +418,77 @@ def test_memmapped_edge_endpoint_rows_agree_with_dense(graph, tmp_path):
     sources, targets = mapped.edge_endpoint_rows()
     assert np.array_equal(sources, expected[0])
     assert np.array_equal(targets, expected[1])
+
+
+# ----------------------------------------------------------------------
+# Time-major presence bits
+# ----------------------------------------------------------------------
+
+BITS_LAYOUTS = BACKENDS + ("columnar-memmap",)
+
+
+def _bits_storage(source, layout, tmp_path):
+    if layout == "columnar-memmap":
+        target = ColumnarBackend.from_graph(source).save(tmp_path / "bits")
+        return ColumnarBackend.open(target, mmap=True)
+    return get_backend(layout).from_graph(source)
+
+
+def _assert_bits_contract(storage, entity):
+    matrix = storage.presence_matrix(entity)
+    n_entities, n_times = matrix.shape
+    bits = storage.presence_bits(entity)
+    n_words = -(-n_entities // 64)
+    assert bits.dtype == np.uint64
+    assert bits.shape == (n_times, n_words)
+    assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[...] = 0
+    assert storage.presence_bits(entity) is bits
+    as_bytes = bits.view(np.uint8)
+    n_bytes = -(-n_entities // 8)
+    expected = np.packbits(matrix.T, axis=1, bitorder="little")
+    assert np.array_equal(as_bytes[:, :n_bytes], expected)
+    # Padding bits past the last entity are zero, in the last partial
+    # byte and in every byte after it.
+    unpacked = np.unpackbits(as_bytes, axis=1, bitorder="little")
+    assert not unpacked[:, n_entities:].any()
+    assert np.array_equal(unpacked[:, :n_entities].astype(bool), matrix.T)
+    return bits
+
+
+@pytest.mark.parametrize("layout", BITS_LAYOUTS)
+@pytest.mark.parametrize("entity", ["nodes", "edges"])
+def test_presence_bits_contract(test_seed, layout, entity, tmp_path):
+    # 70 nodes (and, almost surely, an edge count off the 64 grid):
+    # the last word carries padding bits.
+    source = random_temporal_graph(
+        GraphSpec(n_nodes=70, n_times=5), seed=test_seed
+    )
+    storage = _bits_storage(source, layout, tmp_path)
+    bits = _assert_bits_contract(storage, entity)
+    dense = DenseBackend.from_graph(source).presence_bits(entity)
+    assert np.array_equal(bits, dense)
+    # A pool worker's unpickled copy serves the same read-only bits.
+    clone = pickle.loads(pickle.dumps(storage))
+    assert np.array_equal(_assert_bits_contract(clone, entity), bits)
+
+
+@pytest.mark.parametrize("layout", BITS_LAYOUTS)
+@pytest.mark.parametrize("axis", ["nodes", "edges"])
+def test_presence_bits_on_empty_axes(graph, layout, axis, tmp_path):
+    empty = get_backend("dense").from_graph(graph).slice_entities(axis, 0, 0)
+    storage = _bits_storage(empty.to_graph(), layout, tmp_path)
+    for entity in ("nodes", "edges"):
+        bits = _assert_bits_contract(storage, entity)
+        if entity == axis:
+            assert bits.shape == (len(graph.timeline), 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_presence_bits_reject_unknown_entity(graph, backend):
+    with pytest.raises(StorageError):
+        get_backend(backend).from_graph(graph).presence_bits("faces")
 
 
 # ----------------------------------------------------------------------
