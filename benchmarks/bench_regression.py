@@ -249,30 +249,40 @@ class TestFabricBaseline:
         meta = fabric_baseline["meta"]
         assert not meta["smoke"]
         assert meta["gate"] == FABRIC_GATE
+        assert meta["gate_min_cpus"] == GATE_MIN_CPUS
+        assert meta["cpu_count"] >= 1
         assert meta["workers"] >= 2
         assert meta["n_queries"] > 0
         modes = {row["mode"] for row in fabric_baseline["arms"]}
-        assert modes == {"fabric", "percall"}
+        assert modes == {"fabric", "inline"}
+        by_mode = {row["mode"]: row for row in fabric_baseline["arms"]}
+        assert by_mode["fabric"]["workers"] == meta["workers"]
+        assert by_mode["inline"]["workers"] == 1
         for row in fabric_baseline["arms"]:
             assert row["requests"] == meta["requests"]
-            assert row["workers"] == meta["workers"]
             assert row["qps"] > 0
             assert row["p50_ms"] <= row["p99_ms"]
-        by_mode = {row["mode"]: row for row in fabric_baseline["arms"]}
         assert _recomputes(
             fabric_baseline["speedup"],
             by_mode["fabric"]["qps"],
-            by_mode["percall"]["qps"],
+            by_mode["inline"]["qps"],
         )
 
-    def test_amortization_gate(self, fabric_baseline, bench_tolerance):
-        # Persistent pool vs per-call pool is a lifecycle-only ratio on
-        # identical work, so — unlike the parallel speedup gate — it
-        # binds regardless of the recording machine's CPU count.
-        gate = fabric_baseline["meta"]["gate"]
-        assert fabric_baseline["speedup"] >= gate * (1 - bench_tolerance), (
-            "persistent fabric regressed below the amortization gate"
-        )
+    def test_inline_gate_when_recorded_on_enough_cpus(
+        self, fabric_baseline, bench_tolerance
+    ):
+        # Fabric vs inline is a real-parallelism ratio, so — like the
+        # parallel speedup gate — it binds only when the recording
+        # machine had the cores; the ratio is recorded either way.
+        meta = fabric_baseline["meta"]
+        if meta["cpu_count"] < meta["gate_min_cpus"]:
+            pytest.skip(
+                f"baseline recorded on {meta['cpu_count']} CPU(s); "
+                f"gate needs >= {meta['gate_min_cpus']}"
+            )
+        assert fabric_baseline["speedup"] >= meta["gate"] * (
+            1 - bench_tolerance
+        ), "the fabric fell behind inline serial serving"
 
 
 class TestBaselineCatalogue:
@@ -374,7 +384,7 @@ class TestLiveSmoke:
 
     def test_fabric_bench_smoke_run(self, tmp_path):
         """End-to-end smoke run: the fabric-vs-naive parity asserts fire
-        on *this* machine before either pool lifecycle is timed."""
+        on *this* machine before either arm is timed."""
         output = tmp_path / "BENCH_fabric.json"
         exit_code = fabric_bench_main(["--smoke", "--output", str(output)])
         assert exit_code == 0
@@ -382,6 +392,6 @@ class TestLiveSmoke:
         assert report["meta"]["smoke"] is True
         assert {row["mode"] for row in report["arms"]} == {
             "fabric",
-            "percall",
+            "inline",
         }
         assert report["speedup"] > 0

@@ -119,7 +119,7 @@ DEFAULTS: dict[str, Any] = {
         "exempt": [],
         "submit_attrs": ["map", "submit"],
         "receiver_hints": ["executor", "pool"],
-        "factory_calls": ["get_executor", "ParallelExecutor", "InlineExecutor"],
+        "factory_calls": ["get_executor", "shared_fabric", "ShardedExecutor", "InlineExecutor"],
         "max_indirection": 3,
     },
     "GT008": {
@@ -127,7 +127,7 @@ DEFAULTS: dict[str, Any] = {
         "exempt": [],
         "submit_attrs": ["map", "submit"],
         "receiver_hints": ["executor", "pool"],
-        "factory_calls": ["get_executor", "ParallelExecutor", "InlineExecutor"],
+        "factory_calls": ["get_executor", "shared_fabric", "ShardedExecutor", "InlineExecutor"],
         "max_indirection": 3,
     },
     "GT009": {

@@ -1,7 +1,8 @@
 """The whole-program concurrency and purity rules, GT007-GT012.
 
 These rules validate the assumptions :mod:`repro.parallel` already makes
-(fork-COW payload sharing, module-level worker functions) and the ones
+(read-only payloads pinned in persistent workers, module-level worker
+functions) and the ones
 the roadmap's concurrent serving layer will make (thread-safe singleton
 swaps, no unguarded shared mutable state, a pure-function registry sound
 enough to back a result cache).  They are :class:`~repro.lint.engine.ProgramRule`
@@ -298,7 +299,12 @@ def _rule_submissions(rule: ProgramRule) -> list[Submission]:
         tuple(
             rule.settings.option(
                 "factory_calls",
-                ("get_executor", "ParallelExecutor", "InlineExecutor"),
+                (
+                    "get_executor",
+                    "shared_fabric",
+                    "ShardedExecutor",
+                    "InlineExecutor",
+                ),
             )
         ),
         int(rule.settings.option("max_indirection", 3)),
@@ -314,11 +320,10 @@ def _rule_submissions(rule: ProgramRule) -> list[Submission]:
 class WorkerForkSafety(ProgramRule):
     """GT007: functions submitted to an executor must be fork-safe.
 
-    :class:`~repro.parallel.ParallelExecutor` pickles worker functions
-    by reference (module + qualname) for the spawn fallback and relies
-    on fork-COW sharing elsewhere; a lambda, nested function, or bound
-    method either fails to pickle or silently drags captured state
-    across the process boundary.  The rule resolves the first argument
+    :class:`~repro.parallel.ShardedExecutor` pickles worker functions
+    by reference (module + qualname) into every task-group message; a
+    lambda, nested function, or bound method either fails to pickle or
+    silently drags captured state across the process boundary.  The rule resolves the first argument
     of every ``executor.map(...)``-shaped call through the call graph —
     including bounded indirection through function parameters — and
     flags any submission that is not a module-level function.
@@ -342,13 +347,15 @@ class WorkerForkSafety(ProgramRule):
 
 @register
 class NoSharedPayloadWrite(ProgramRule):
-    """GT008: worker functions must not write to the fork-COW payload.
+    """GT008: worker functions must not write to the shared payload.
 
-    The executor publishes the payload once and forks; pages are shared
-    copy-on-write, and the roadmap's thread-backed executors will share
-    them *for real*.  A worker that mutates the payload (or anything
-    reached from it) breaks bit-exact parity with the serial engine the
-    moment sharing stops being copy-on-write.  Worker functions are the
+    The fabric pickles a payload to each worker once and pins that copy
+    across every later ``map`` over the same payload; the inline
+    executor hands every task the caller's own object.  A worker that
+    mutates the payload (or anything reached from it) leaks state into
+    the next task or the next call — on the fabric into whichever calls
+    that worker serves, inline into the caller's data — and breaks
+    bit-exact parity between the two.  Worker functions are the
     resolved submissions of GT007; the payload is the worker's first
     parameter, and aliases created by unpacking or attribute/subscript
     reads are tracked to a fixpoint.
@@ -404,7 +411,7 @@ class NoSharedPayloadWrite(ProgramRule):
                                 node,
                                 f"worker {info.name!r} writes to the shared "
                                 f"payload (via {base!r}); workers must "
-                                f"treat the fork-COW payload as immutable",
+                                f"treat the pinned payload as immutable",
                             )
             elif isinstance(node, ast.Delete):
                 for target in node.targets:

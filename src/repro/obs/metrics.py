@@ -187,7 +187,7 @@ class MetricsRegistry:
 
         Counters and histogram samples add; gauges are last-write-wins
         (the merged dump's value overwrites).  This is how
-        :class:`~repro.parallel.ParallelExecutor` re-homes each worker
+        :class:`~repro.parallel.ShardedExecutor` re-homes each worker
         chunk's metric delta, so a parallel run's totals equal the
         serial run's.
         """

@@ -175,7 +175,7 @@ class Tracer:
 
         The span becomes a child of the currently open span (or the new
         ``last_root`` when none is open).  Used by
-        :class:`~repro.parallel.ParallelExecutor` to re-parent worker
+        :class:`~repro.parallel.ShardedExecutor` to re-parent worker
         span trees into the main trace; unlike :meth:`_close`, no timing
         metric is recorded — the worker already observed its own spans
         into the metrics delta the parent merges.

@@ -11,25 +11,23 @@ sweeps, ``GraphTempoSession``) accepts ``parallelism=None | int |
 * ``"auto"`` — one worker per available CPU.
 
 An *implicit* default (``None`` resolved through the environment) only
-engages the pool when the workload is large enough to amortize pool
-startup — callers pass a ``task_hint`` (entities to scan, chain steps to
+engages the pool when the workload is large enough to amortize the
+fan-out — callers pass a ``task_hint`` (entities to scan, chain steps to
 evaluate) and work below :func:`min_parallel_work` stays inline.  An
 *explicit* request always gets the pool; the parity suite relies on
-forcing ``ParallelExecutor(workers=2)`` onto tiny graphs.
+forcing ``parallelism=2`` onto tiny graphs.
 
-Which *backend* serves a multi-worker resolution is a second, orthogonal
-axis: ``REPRO_PARALLEL_BACKEND`` selects ``"parallel"`` (the per-call
-pool, the default), ``"sharded"`` (one process-wide persistent
-:class:`~repro.parallel.fabric.ShardedExecutor` shared by every fan-out
-with the same pool shape — see :func:`shared_fabric`), or ``"inline"``
-(force serial, a debugging escape hatch).  Callers can also bypass
-resolution entirely by opening an :func:`executor_scope` around a
-specific executor instance — the seam the serving layer uses to
-multiplex every request onto one fabric.
+Every multi-worker resolution is served by one process-wide persistent
+:class:`~repro.parallel.fabric.ShardedExecutor` per pool shape (see
+:func:`shared_fabric`), so payload pins and warm workers amortize across
+every fan-out site.  Callers can also bypass resolution entirely by
+opening an :func:`executor_scope` around a specific executor instance —
+the seam the serving layer uses to multiplex every request onto one
+fabric.
 
 Results never depend on which executor ran: the gate is purely a
-performance heuristic, and the parity suite diffs all three backends
-bit-exactly.
+performance heuristic, and the parity suite diffs the fabric against
+the inline executor bit-exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 from ..errors import ConfigurationError
-from .executor import Executor, InlineExecutor, ParallelExecutor, in_worker
+from .executor import Executor, InlineExecutor, in_worker
 from .fabric import ShardedExecutor
 
 __all__ = [
@@ -51,27 +49,18 @@ __all__ = [
     "executor_scope",
     "get_executor",
     "min_parallel_work",
-    "parallel_backend",
     "shared_fabric",
     "close_shared_fabrics",
     "ENV_WORKERS",
     "ENV_MIN_WORK",
-    "ENV_BACKEND",
 ]
 
 #: Environment variable flipping the default executor (CI parity job).
 ENV_WORKERS = "REPRO_PARALLEL_WORKERS"
 #: Environment variable overriding the implicit-parallelism work floor.
 ENV_MIN_WORK = "REPRO_PARALLEL_MIN_WORK"
-#: Environment variable selecting the executor backend for multi-worker
-#: resolutions: "parallel" (per-call pool, default), "sharded"
-#: (process-wide persistent fabric), or "inline" (force serial).
-ENV_BACKEND = "REPRO_PARALLEL_BACKEND"
-
-_BACKENDS = ("parallel", "sharded", "inline")
-
 #: Below this much estimated work, an *implicit* parallel default stays
-#: inline — pool startup would dominate (see docs/parallelism.md).
+#: inline — fan-out overhead would dominate (see docs/parallelism.md).
 _DEFAULT_MIN_WORK = 4096
 
 #: Per-thread stack of :func:`parallelism_scope` overrides.  Thread-local
@@ -173,12 +162,11 @@ def executor_scope(executor: Executor) -> Iterator[Executor]:
     """Pin a specific executor instance for this thread's fan-outs.
 
     Every :func:`get_executor` resolution inside the scope returns
-    ``executor`` directly — no backend selection, no work-floor gating
+    ``executor`` directly — no work-floor gating, no fabric lookup
     (the caller already decided).  Thread-local and re-entrant, like
     :func:`parallelism_scope`.  This is how the serving layer multiplexes
-    many concurrent requests onto one shared
-    :class:`~repro.parallel.fabric.ShardedExecutor` instead of forking a
-    pool per request.
+    many concurrent requests onto one
+    :class:`~repro.parallel.fabric.ShardedExecutor` instance.
     """
     stack = _executor_stack()
     stack.append(executor)
@@ -186,16 +174,6 @@ def executor_scope(executor: Executor) -> Iterator[Executor]:
         yield executor
     finally:
         stack.pop()
-
-
-def parallel_backend() -> str:
-    """The executor backend name from ``REPRO_PARALLEL_BACKEND``."""
-    raw = (os.environ.get(ENV_BACKEND) or "parallel").strip() or "parallel"
-    if raw not in _BACKENDS:
-        raise ConfigurationError(
-            f"{ENV_BACKEND} must be one of {_BACKENDS}, got {raw!r}"
-        )
-    return raw
 
 
 # Process-wide shared fabrics, keyed by pool shape.  A sanctioned
@@ -215,8 +193,8 @@ def shared_fabric(
 
     One :class:`~repro.parallel.fabric.ShardedExecutor` per
     ``(workers, chunk_size, timeout)`` key is created lazily, cached,
-    and reused by every fan-out resolving under the ``sharded`` backend
-    — that sharing is the whole point: payload pins and warm workers
+    and reused by every multi-worker :func:`get_executor` resolution —
+    that sharing is the whole point: payload pins and warm workers
     amortize across call sites.  A fabric found closed (a test drained
     it) is replaced transparently.  All cached fabrics drain at
     interpreter exit via :func:`close_shared_fabrics`.
@@ -260,10 +238,8 @@ def get_executor(
     worker this always returns the inline executor (no nested pools).
     An open :func:`executor_scope` short-circuits everything — the
     pinned executor handles its own inline trampoline for nested calls.
-    Otherwise, multi-worker resolutions go to the backend selected by
-    ``REPRO_PARALLEL_BACKEND``: a fresh per-call
-    :class:`~repro.parallel.ParallelExecutor` (default) or the shared
-    persistent fabric (:func:`shared_fabric`).
+    Otherwise every multi-worker resolution returns the shared
+    persistent fabric for its shape (:func:`shared_fabric`).
     """
     pinned = _executor_stack()
     if pinned:
@@ -274,9 +250,4 @@ def get_executor(
         return InlineExecutor()
     if not explicit and task_hint is not None and task_hint < min_parallel_work():
         return InlineExecutor()
-    backend = parallel_backend()
-    if backend == "inline":
-        return InlineExecutor()
-    if backend == "sharded":
-        return shared_fabric(workers, chunk_size=chunk_size, timeout=timeout)
-    return ParallelExecutor(workers, chunk_size=chunk_size, timeout=timeout)
+    return shared_fabric(workers, chunk_size=chunk_size, timeout=timeout)

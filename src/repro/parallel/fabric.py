@@ -1,11 +1,12 @@
-"""The sharded execution fabric: a persistent, shard-pinned worker pool.
+"""The sharded execution fabric: the one persistent, shard-pinned pool.
 
-:class:`~repro.parallel.ParallelExecutor` re-forks a process pool and
-re-ships the whole payload on every ``map`` call — correct, but nothing
-amortizes across calls, which is exactly what a serving layer needs.
-:class:`ShardedExecutor` keeps the same ``Executor`` contract
-(``map(fn, tasks, payload)``, bit-identical results, identical failure
-taxonomy) while amortizing everything that can be amortized:
+Every multi-worker fan-out runs here (:func:`~repro.parallel.get_executor`
+resolves to :func:`~repro.parallel.shared_fabric`).
+:class:`ShardedExecutor` keeps the :class:`~repro.parallel.Executor`
+contract (``map(fn, tasks, payload)``, results bit-identical to
+:class:`~repro.parallel.InlineExecutor`, the same failure taxonomy)
+while amortizing across calls everything that can be amortized — what
+a serving layer issuing many fan-outs against one graph needs:
 
 * **persistent workers** — one long-lived process per worker, created
   lazily on first use and reused across every subsequent call; no
@@ -43,8 +44,9 @@ onto one fabric) serialize per worker and overlap across workers.
 pins are dropped — and the shard plan recomputed — whenever a new graph
 version is published.
 
-Everything is observable under the ``fabric.*`` metric family and the
-``fabric.map`` span; see ``docs/observability.md``.
+Fan-out volume is counted under ``parallel.*`` (maps, tasks
+dispatched/completed/failed), pool lifecycle under ``fabric.*``, and
+each call opens a ``fabric.map`` span; see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -115,10 +117,9 @@ def _worker_main(
     One duplex pipe, strictly request/reply: the parent holds the
     worker's lock across each ``send``/``recv`` pair, so the worker
     never sees interleaved requests.  Payloads install into a local
-    cache pruned to the parent's retain set; chunks execute through the
-    same :func:`~repro.parallel.executor._execute_chunk` core as the
-    per-call pool, so outcomes (results, spans, metric deltas, failure
-    envelopes) are identical.
+    cache pruned to the parent's retain set; chunks execute through
+    :func:`~repro.parallel.executor._execute_chunk`, which packs each
+    chunk's results, spans, metric delta or failure envelope.
 
     ``stale_conns`` are pipe ends inherited across the fork that belong
     to other workers (plus this worker's own parent end): closing them
@@ -130,7 +131,7 @@ def _worker_main(
             stale_conn.close()
         except OSError:  # pragma: no cover - already gone
             pass
-    _init_worker(None)  # mark the process; nested fan-outs run inline
+    _init_worker()  # mark the process; nested fan-outs run inline
     payloads: dict[int, Any] = {}
     while True:
         try:
@@ -584,13 +585,13 @@ class ShardedExecutor(Executor):
     ) -> list[Any]:
         tasks = list(tasks)
         metrics = get_metrics()
-        metrics.inc("fabric.maps")
+        metrics.inc("parallel.maps")
         if not tasks:
             return []
         if self.workers == 1 or in_worker():
-            # Same trampoline as ParallelExecutor: nested fan-outs and
-            # single-worker fabrics run inline, bit-identically, without
-            # IPC.  GT007 is enforced at external submission sites.
+            # Nested fan-outs and single-worker fabrics run inline,
+            # bit-identically, without IPC.  GT007 is enforced at the
+            # external submission sites.
             return InlineExecutor().map(fn, tasks, payload)  # lint: ignore[GT007]
         self._ensure_running()
         chunks = plan_chunks(
@@ -601,7 +602,7 @@ class ShardedExecutor(Executor):
         )
         groups = self._route(chunks, len(tasks))
         metrics.inc("fabric.task_groups", len(groups))
-        metrics.inc("fabric.tasks_dispatched", len(tasks))
+        metrics.inc("parallel.tasks_dispatched", len(tasks))
         deadline = (
             None if self.timeout is None else time.monotonic() + self.timeout
         )
@@ -615,7 +616,7 @@ class ShardedExecutor(Executor):
             for chunk in chunks:
                 outcome = outcomes[chunk.index]
                 if isinstance(outcome, _ChunkFailure):
-                    metrics.inc("fabric.tasks_failed")
+                    metrics.inc("parallel.tasks_failed")
                     metrics.merge(outcome.metrics)
                     if isinstance(outcome.exception, GraphTempoError):
                         # Domain failures keep their taxonomy type so the
@@ -630,7 +631,7 @@ class ShardedExecutor(Executor):
                 if outcome.span is not None and tracer.enabled:
                     tracer.attach(outcome.span)
                 results[chunk.index] = outcome.results
-            metrics.inc("fabric.tasks_completed", len(tasks))
+            metrics.inc("parallel.tasks_completed", len(tasks))
             return assemble(chunks, results)
 
     def _route(
@@ -693,7 +694,7 @@ class ShardedExecutor(Executor):
         for thread in threads:
             thread.join()
         # Deterministic error precedence: the group owning the earliest
-        # chunk wins, matching ParallelExecutor's in-order resolution.
+        # chunk wins, whatever order the groups completed in.
         outcomes: dict[int, _ChunkOutcome | _ChunkFailure] = {}
         for position, (worker, chunks) in sorted(
             enumerate(groups), key=lambda item: item[1][1][0].index
@@ -701,7 +702,7 @@ class ShardedExecutor(Executor):
             error = errors[position]
             if error is not None:
                 get_metrics().inc(
-                    "fabric.tasks_failed", sum(len(c) for c in chunks)
+                    "parallel.tasks_failed", sum(len(c) for c in chunks)
                 )
                 raise error
             group_results = results[position]

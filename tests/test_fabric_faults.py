@@ -1,8 +1,8 @@
 """Fault injection on the persistent execution fabric.
 
 The :class:`~repro.parallel.ShardedExecutor` keeps workers alive across
-calls, which makes its failure surface richer than the per-call pool's:
-a pinned worker can die *between* calls, *during* a call, or hang past
+calls, so its failure surface is richer than a one-shot pool's: a
+pinned worker can die *between* calls, *during* a call, or hang past
 the deadline — and the pool has to keep serving afterwards.  This suite
 injects each fault for real (SIGKILL on live worker pids, sleeping
 tasks, domain raises inside a shard) and asserts the contract:
@@ -14,7 +14,9 @@ tasks, domain raises inside a shard) and asserts the contract:
   interrupted task group re-runs, returning a result bit-identical to
   the undisturbed run;
 * no orphans — :meth:`~repro.parallel.ShardedExecutor.close` drains
-  every worker process, even after crashes and restarts.
+  every worker process, even after crashes and restarts;
+* amortization — repeated calls over one payload reuse the workers and
+  their pinned payload copy (exact ``fabric.*`` lifecycle counts).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.parallel import InlineExecutor, ShardedExecutor
 
 
@@ -235,6 +238,22 @@ def test_pool_is_lazy_and_persistent(fabric):
     assert all(pids)
     fabric.map(_square, list(range(9)), 0)
     assert fabric.worker_pids() == pids, "workers must persist across calls"
+
+
+def test_payload_pins_amortize_across_maps(fabric):
+    """Ten maps of one payload fork each worker once and ship the payload
+    to each worker once; every later task group is a pin-cache hit."""
+    tasks = list(range(9))
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        for _ in range(10):
+            assert fabric.map(_square, tasks, 7) == [7 + t * t for t in tasks]
+    finally:
+        set_metrics(previous)
+    assert registry.counter("fabric.workers_started") == 2
+    assert registry.counter("fabric.payload_installs") == 2
+    assert registry.counter("fabric.payload_hits") == 18
 
 
 def test_health_check_restarts_dead_workers(fabric):

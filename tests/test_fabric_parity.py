@@ -2,15 +2,15 @@
 
 The strongest claim the fabric makes is that persistence, pinning,
 batching, routing and recovery are *invisible* in results.  This suite
-enforces it against the same oracles the per-call pool answers to:
+enforces it against the serial executor and the oracles:
 
 * all eight Table-1 exploration cases — identical pairs *and* identical
-  evaluation counts across :class:`~repro.parallel.InlineExecutor`,
-  :class:`~repro.parallel.ParallelExecutor` and
+  evaluation counts across :class:`~repro.parallel.InlineExecutor` and
   :class:`~repro.parallel.ShardedExecutor` (exploration's reference-
   range tasks make this the time-window sharding axis);
 * both aggregation engines, DIST and ALL (aggregation's entity-range
-  tasks make this the entity sharding axis);
+  tasks make this the entity sharding axis), and the ``parallel.*``
+  fan-out counters a pooled aggregation emits;
 * the full registered fuzz-law suite replayed under an
   :func:`~repro.parallel.executor_scope` pinning one shared fabric;
 * physical shard slices (:func:`~repro.parallel.shard_backend`) cover
@@ -34,11 +34,12 @@ from repro.core.operators import presence_signature
 from repro.core.updates import SnapshotUpdate
 from repro.datasets import paper_example
 from repro.exploration import EventType, ExtendSide, Goal, explore
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.parallel import (
     InlineExecutor,
-    ParallelExecutor,
     ShardedExecutor,
     executor_scope,
+    plan_chunks,
     shard_backend,
 )
 from repro.query import run_query
@@ -73,7 +74,6 @@ def fabric():
 def _executors(fabric):
     return (
         ("inline", InlineExecutor()),
-        ("parallel", ParallelExecutor(2)),
         ("sharded", fabric),
     )
 
@@ -122,6 +122,24 @@ def test_aggregate_parity_both_engines(
                 graph, attributes, distinct=distinct, parallelism=2
             )
         assert serial.diff(pooled) == (), f"{name} row-range partials diverged"
+
+
+def test_pooled_aggregate_counts_one_fan_out(tiny_graph, no_work_floor):
+    """A pooled aggregation is one ``map`` over its entity-range tasks,
+    counted under the ``parallel.*`` family whichever fabric serves it."""
+    tasks = len(plan_chunks(tiny_graph.n_nodes, 2)) + len(
+        plan_chunks(tiny_graph.n_edges, 2)
+    )
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        aggregate(tiny_graph, ["color"], parallelism=2)
+    finally:
+        set_metrics(previous)
+    assert registry.counter("parallel.maps") == 1
+    assert registry.counter("parallel.tasks_dispatched") == tasks
+    assert registry.counter("parallel.tasks_completed") == tasks
+    assert registry.counter("fabric.maps") == 0
 
 
 def test_repeated_calls_stay_bit_exact_on_a_warm_pool(graph, fabric, no_work_floor):

@@ -11,10 +11,11 @@ This suite enforces it at every fan-out site:
   not change when chains are distributed);
 * every registered fuzz law, replayed under the inline executor and
   under a 2-worker scope with the implicit-parallelism work floor
-  removed, so even tiny operations actually cross the pool.
+  removed, so even tiny operations actually cross the shared fabric.
 
-Pool startup is real (~10ms per fan-out), so cases here stay small;
-the scaling story lives in ``benchmarks/bench_parallel_speedup.py``.
+Every pooled fan-out pays IPC and payload pickling, so cases here stay
+small; the scaling story lives in
+``benchmarks/bench_parallel_speedup.py``.
 """
 
 from __future__ import annotations

@@ -6,37 +6,35 @@ Three families, matching the executor's promises:
   ``(n_tasks, workers, chunk_size)`` — including fewer tasks than
   workers and empty input;
 * assembled results are in task order no matter in which order chunks
-  complete (simulated through a shuffling fake dispatch);
-* worker failures surface as the right exception: domain errors keep
-  their taxonomy type, infrastructure failures raise a
-  :class:`~repro.errors.ParallelError` carrying the failing task spec.
+  complete (simulated through a shuffling fake dispatch on the fabric);
+* worker failures surface as a :class:`~repro.errors.ParallelError`
+  carrying the failing task spec (the rest of the failure taxonomy —
+  domain errors, crashes, restarts — is ``tests/test_fabric_faults.py``);
+* every multi-worker resolution lands on the one shared fabric.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import (
-    AggregationError,
-    ConfigurationError,
-    ParallelError,
-    WorkerCrashError,
-    WorkerTimeoutError,
-)
+from repro.errors import ConfigurationError, ParallelError, WorkerTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     Chunk,
     InlineExecutor,
-    ParallelExecutor,
+    ShardedExecutor,
     assemble,
+    close_shared_fabrics,
+    executor_scope,
     get_executor,
+    min_parallel_work,
     parallelism_scope,
     plan_chunks,
+    shared_fabric,
 )
 from repro.parallel.executor import _ChunkOutcome
 
@@ -56,17 +54,9 @@ def _fail_on_three(payload, task):
     return task
 
 
-def _domain_error(payload, task):
-    raise AggregationError(f"domain failure on {task}")
-
-
 def _sleep_forever(payload, task):
     time.sleep(60)
     return task
-
-
-def _die(payload, task):
-    os._exit(13)
 
 
 # ----------------------------------------------------------------------
@@ -194,16 +184,17 @@ def test_assemble_rejects_length_mismatch():
 # ----------------------------------------------------------------------
 
 
-class _ShufflingExecutor(ParallelExecutor):
-    """A fake pool: runs chunks inline but *completes* them in a
-    shuffled order, exercising the index-keyed reassembly path."""
+class _ShufflingExecutor(ShardedExecutor):
+    """A fake fabric: runs every task group inline but *completes* the
+    chunks in a shuffled order, exercising the index-keyed reassembly
+    path."""
 
     def __init__(self, workers, seed, **kwargs):
         super().__init__(workers, **kwargs)
         self._shuffle = random.Random(seed).shuffle
 
-    def _dispatch(self, chunks, tasks, fn, payload):
-        shuffled = list(chunks)
+    def _dispatch(self, groups, tasks, fn, payload, deadline):
+        shuffled = [chunk for _, chunks in groups for chunk in chunks]
         self._shuffle(shuffled)
         empty = MetricsRegistry().dump()
         return {
@@ -223,26 +214,28 @@ class _ShufflingExecutor(ParallelExecutor):
 def test_results_ordered_regardless_of_completion_order(test_seed, seed_offset):
     tasks = list(range(37))
     expected = InlineExecutor().map(_double, tasks, 5)
-    executor = _ShufflingExecutor(4, test_seed + seed_offset, chunk_size=3)
-    assert executor.map(_double, tasks, 5) == expected
+    with _ShufflingExecutor(4, test_seed + seed_offset, chunk_size=3) as executor:
+        assert executor.map(_double, tasks, 5) == expected
 
 
 def test_real_pool_results_are_in_task_order():
     tasks = list(range(25))
-    executor = ParallelExecutor(2, chunk_size=4)
-    assert executor.map(_double, tasks, 1) == [1 + t * 2 for t in tasks]
+    with ShardedExecutor(2, chunk_size=4) as executor:
+        assert executor.map(_double, tasks, 1) == [1 + t * 2 for t in tasks]
 
 
 def test_empty_task_list_short_circuits():
-    assert ParallelExecutor(4).map(_double, [], 0) == []
+    with ShardedExecutor(4) as executor:
+        assert executor.map(_double, [], 0) == []
+        assert executor.state == "cold"
 
 
 def test_single_worker_pool_runs_inline():
     # workers=1 must not pay for a pool: identical to InlineExecutor.
     tasks = list(range(9))
-    assert ParallelExecutor(1).map(_double, tasks, 2) == [
-        2 + t * 2 for t in tasks
-    ]
+    with ShardedExecutor(1) as executor:
+        assert executor.map(_double, tasks, 2) == [2 + t * 2 for t in tasks]
+        assert executor.state == "cold"
 
 
 # ----------------------------------------------------------------------
@@ -251,36 +244,22 @@ def test_single_worker_pool_runs_inline():
 
 
 def test_worker_exception_raises_parallel_error_with_task():
-    executor = ParallelExecutor(2, chunk_size=2)
-    with pytest.raises(ParallelError) as excinfo:
-        executor.map(_fail_on_three, list(range(8)))
+    with ShardedExecutor(2, chunk_size=2) as executor:
+        with pytest.raises(ParallelError) as excinfo:
+            executor.map(_fail_on_three, list(range(8)))
     assert excinfo.value.task == 3
     assert "boom on three" in str(excinfo.value)
 
 
-def test_worker_domain_error_keeps_taxonomy_type():
-    executor = ParallelExecutor(2, chunk_size=1)
-    with pytest.raises(AggregationError, match="domain failure"):
-        executor.map(_domain_error, [0, 1])
-
-
 def test_timeout_raises_worker_timeout_with_task():
-    executor = ParallelExecutor(2, chunk_size=2, timeout=0.4)
-    started = time.monotonic()
-    with pytest.raises(WorkerTimeoutError) as excinfo:
-        executor.map(_sleep_forever, list(range(4)))
-    elapsed = time.monotonic() - started
+    with ShardedExecutor(2, chunk_size=2, timeout=0.4) as executor:
+        started = time.monotonic()
+        with pytest.raises(WorkerTimeoutError) as excinfo:
+            executor.map(_sleep_forever, list(range(4)))
+        elapsed = time.monotonic() - started
     assert isinstance(excinfo.value, ParallelError)
     assert excinfo.value.task in range(4)
     assert elapsed < 30, "timeout must not wait for the sleeping worker"
-
-
-def test_worker_crash_raises_worker_crash_error():
-    executor = ParallelExecutor(2, chunk_size=2)
-    with pytest.raises(WorkerCrashError) as excinfo:
-        executor.map(_die, list(range(4)))
-    assert isinstance(excinfo.value, ParallelError)
-    assert excinfo.value.task in range(4)
 
 
 # ----------------------------------------------------------------------
@@ -297,21 +276,17 @@ def test_get_executor_defaults_to_inline(monkeypatch):
     assert isinstance(get_executor(1), InlineExecutor)
 
 
-def test_get_executor_explicit_request_ignores_task_hint(monkeypatch):
-    # This test is about the per-call pool specifically; the fabric
-    # parity job pins REPRO_PARALLEL_BACKEND=sharded suite-wide.
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+def test_get_executor_explicit_request_ignores_task_hint():
     executor = get_executor(3, task_hint=1)
-    assert isinstance(executor, ParallelExecutor)
+    assert isinstance(executor, ShardedExecutor)
     assert executor.workers == 3
 
 
-def test_get_executor_implicit_default_is_gated_by_task_hint(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
+def test_get_executor_implicit_default_is_gated_by_task_hint():
     with parallelism_scope(4):
         assert isinstance(get_executor(task_hint=1), InlineExecutor)
         big = get_executor(task_hint=10_000_000)
-        assert isinstance(big, ParallelExecutor)
+        assert isinstance(big, ShardedExecutor)
         assert big.workers == 4
 
 
@@ -327,10 +302,9 @@ def test_parallelism_scope_nests_and_restores(monkeypatch):
 
 
 def test_env_variable_sets_default(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL_BACKEND", raising=False)
     monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
     executor = get_executor(task_hint=10_000_000)
-    assert isinstance(executor, ParallelExecutor)
+    assert isinstance(executor, ShardedExecutor)
     assert executor.workers == 3
 
 
@@ -340,59 +314,48 @@ def test_bad_parallelism_values_rejected():
     with pytest.raises(ConfigurationError):
         get_executor("many")
     with pytest.raises(ConfigurationError):
-        ParallelExecutor(0)
+        ShardedExecutor(0)
 
 
 # ----------------------------------------------------------------------
-# Backend selection and executor pinning (the fabric seam)
+# The shared fabric and executor pinning
 # ----------------------------------------------------------------------
 
 
-def test_env_backend_selects_the_shared_fabric(monkeypatch):
-    from repro.parallel import ShardedExecutor, close_shared_fabrics
-
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "sharded")
+def test_get_executor_resolves_to_the_shared_fabric():
     try:
-        executor = get_executor(3, task_hint=1)
-        assert isinstance(executor, ShardedExecutor)
-        assert executor.workers == 3
+        executor = get_executor(2)
+        assert executor is shared_fabric(2)
         # Same shape -> same shared instance (that's the amortization).
-        assert get_executor(3) is executor
-        assert get_executor(2) is not executor
+        assert get_executor(2, task_hint=1) is executor
+        assert get_executor(3) is not executor
     finally:
         close_shared_fabrics()
 
 
-def test_env_backend_inline_forces_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "inline")
-    assert isinstance(get_executor(4), InlineExecutor)
-
-
-def test_env_backend_rejects_unknown_names(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "quantum")
-    with pytest.raises(ConfigurationError, match="REPRO_PARALLEL_BACKEND"):
-        get_executor(2)
+def test_env_workers_above_the_floor_resolve_to_the_shared_fabric(monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "2")
+    try:
+        executor = get_executor(task_hint=min_parallel_work())
+        assert executor is shared_fabric(2)
+    finally:
+        close_shared_fabrics()
 
 
 def test_executor_scope_pins_an_instance(monkeypatch):
-    from repro.parallel import executor_scope
-
     monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
     pinned = InlineExecutor()
     with executor_scope(pinned):
         # Pinning wins over explicit worker counts and task hints.
         assert get_executor(8) is pinned
         assert get_executor(task_hint=10_000_000) is pinned
-        inner = ParallelExecutor(2)
-        with executor_scope(inner):
+        with ShardedExecutor(2) as inner, executor_scope(inner):
             assert get_executor() is inner
         assert get_executor() is pinned
     assert isinstance(get_executor(), InlineExecutor)
 
 
 def test_shared_fabric_replaces_closed_instances():
-    from repro.parallel import close_shared_fabrics, shared_fabric
-
     try:
         first = shared_fabric(2)
         assert shared_fabric(2) is first
@@ -405,13 +368,12 @@ def test_shared_fabric_replaces_closed_instances():
 
 
 def test_concurrent_maps_from_threads_do_not_cross_payloads():
-    """Regression: the fork-COW payload channel is published in a module
-    global; without the publish lock, thread A's pool could fork while
-    thread B's payload was published, silently computing against the
-    wrong payload (or crashing on shape mismatch)."""
+    """Threads sharing one fabric each pin their own payload: a task
+    group must always run against its caller's payload, never against a
+    payload another thread pinned (or the LRU evicted) meanwhile."""
     import threading
 
-    executor = ParallelExecutor(2, chunk_size=4)
+    executor = ShardedExecutor(2, chunk_size=4)
     tasks = list(range(16))
     failures = []
 
@@ -427,8 +389,11 @@ def test_concurrent_maps_from_threads_do_not_cross_payloads():
         threading.Thread(target=hammer, args=(offset,))
         for offset in (0, 1000, 2000, 3000)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        executor.close()
     assert not failures, failures[0]
