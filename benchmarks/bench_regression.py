@@ -36,6 +36,7 @@ from bench_exploration_scaling import LONG_TIMELINE_GATE
 from bench_storage import GATE_FOOTPRINT as STORAGE_GATE_FOOTPRINT
 from bench_storage import GATE_LATENCY as STORAGE_GATE_LATENCY
 from bench_storage import main as storage_bench_main
+from bench_streaming import CARRIED_PREFIX
 from bench_streaming import GATE as STREAMING_GATE
 from bench_streaming import main as streaming_bench_main
 
@@ -171,6 +172,16 @@ class TestStreamingBaseline:
             assert row["speedup"] >= gate * (1 - bench_tolerance), (
                 f"{row['workload']} delta path regressed below the gate"
             )
+
+    def test_carried_state_no_slower_than_fresh_rebuild(self, streaming_baseline):
+        assert streaming_baseline["meta"]["cpu_count"] >= 1
+        row = streaming_baseline["carried_state"]
+        assert row["n_points"] >= 100
+        assert row["n_appends"] == row["n_points"] - CARRIED_PREFIX
+        assert _recomputes(row["speedup"], row["fresh_best_s"], row["carried_best_s"])
+        assert row["carried_best_s"] <= row["fresh_best_s"], (
+            "appends carrying derived state fell behind a fresh rebuild per version"
+        )
 
 
 class TestServingBaseline:
@@ -354,6 +365,8 @@ class TestLiveSmoke:
             "evolution",
             "exploration",
         }
+        carried = report["carried_state"]
+        assert carried["carried_best_s"] <= carried["fresh_best_s"]
 
     def test_storage_bench_smoke_run(self, tmp_path):
         """End-to-end smoke run: the backend-parity asserts fire on

@@ -18,6 +18,16 @@ Every delta result is checked identical to its recompute twin before
 anything is timed, so the speedups can never come from divergent work.
 Raw ingestion throughput (appends/s, no views) is recorded alongside.
 
+A fourth arm, **carried state**, times what each new version costs a
+reader on a long synthetic timeline (DBLP's recipe stretched to
+120 points, 40 with ``--smoke``): the append plus the version's first evolution
+read (edge endpoint rows) and first explore (presence bits).  Appends
+extend the previous version's label indexes and caches; the simplest
+alternative it is timed against is a fresh ``TemporalGraph`` and
+backend per version, which rebuilds every index and cache.  Both arms
+must return identical results, and the carried arm must be no slower
+(``carried_best_s <= fresh_best_s``).
+
 Results land in ``BENCH_streaming.json``.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke]
@@ -35,24 +45,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.bench import measure, speedup
-from repro.core import aggregate, aggregate_evolution
-from repro.core.updates import append_snapshot, split_history
-from repro.datasets import generate_dblp
+from repro.core import TemporalGraph, Timeline, aggregate, aggregate_evolution
+from repro.core.updates import append_snapshot, snapshot_at, split_history
+from repro.datasets import dblp_config, generate_dblp
+from repro.datasets.synthetic import VaryingAttributeSpec, generate_evolving_graph
 from repro.exploration import (
     ChainEvaluator,
     EntityKind,
     EventCounter,
     EventType,
     ExtendSide,
+    Goal,
     Semantics,
+    explore,
+    suggest_threshold,
 )
+from repro.frames import LabeledFrame
 from repro.materialize.streaming import AggregateTotalsView
 from repro.streaming import EvolutionView, ExplorationView, StreamingStore
 
@@ -63,6 +80,12 @@ from repro.streaming import EvolutionView, ExplorationView, StreamingStore
 GATE = 1.5
 
 ATTRS = ["gender"]
+
+#: Timeline length of the carried-state arm (full run / ``--smoke``) and
+#: the points loaded before the timed appends begin.
+CARRIED_POINTS = 120
+CARRIED_POINTS_SMOKE = 40
+CARRIED_PREFIX = 20
 
 
 def grown_graphs(initial, updates):
@@ -202,6 +225,112 @@ def bench_views(initial, graphs, updates, repeats):
     return rows
 
 
+def long_timeline(n_points, scale, seed=1):
+    """DBLP's recipe at ``scale`` with its yearly node/edge targets and
+    publications domain stretched linearly from 21 years to ``n_points``."""
+    base = dblp_config(scale=scale, seed=seed)
+    years = np.linspace(0, len(base.times) - 1, n_points)
+    (publications,) = base.varying_attrs
+
+    def stretch(targets):
+        stretched = np.interp(years, np.arange(len(targets)), targets)
+        return tuple(int(round(v)) for v in stretched)
+
+    def sampler(rng, node_ids, time_index):
+        return publications.sampler(rng, node_ids, int(years[time_index]))
+
+    return generate_evolving_graph(
+        replace(
+            base,
+            times=tuple(range(n_points)),
+            node_targets=stretch(base.node_targets),
+            edge_targets=stretch(base.edge_targets),
+            varying_attrs=(VaryingAttributeSpec(publications.name, sampler),),
+        )
+    )
+
+
+def _fresh(graph):
+    """The same graph value over freshly built frames (new label indexes,
+    copied arrays) with no backend yet: what every version cost before
+    appends carried derived state forward."""
+
+    def frame(source):
+        return LabeledFrame(source.row_labels, source.col_labels, source.values)
+
+    return TemporalGraph(
+        timeline=Timeline(graph.timeline.labels),
+        node_presence=frame(graph.node_presence),
+        edge_presence=frame(graph.edge_presence),
+        static_attrs=frame(graph.static_attrs),
+        varying_attrs={n: frame(f) for n, f in graph.varying_attrs.items()},
+        validate=False,
+        edge_attrs=None if graph.edge_attrs is None else frame(graph.edge_attrs),
+    )
+
+
+def _first_reads(graph, k):
+    """A version's first evolution read (the newest point against the ten
+    before it) and first explore."""
+    labels = graph.timeline.labels
+    evolution = aggregate_evolution(graph, labels[-11:-1], labels[-1:], ATTRS)
+    found = explore(graph, EventType.GROWTH, Goal.MINIMAL, ExtendSide.NEW, k)
+    return evolution, found
+
+
+def bench_carried_state(n_points, scale, repeats):
+    """Append + first reads per version: carried state vs a fresh graph
+    and backend per version, parity-checked on every version."""
+    graph = long_timeline(n_points, scale)
+    labels = graph.timeline.labels
+    head = labels[:CARRIED_PREFIX]
+    prefix = graph.restricted(
+        graph.node_presence.rows_any(head), graph.edge_presence.rows_any(head), head
+    )
+    updates = [snapshot_at(graph, t) for t in labels[CARRIED_PREFIX:]]
+    k = suggest_threshold(prefix, EventType.GROWTH, mode="min")
+    versions = []
+    current = prefix
+    for update in updates:
+        current = append_snapshot(current, update)
+        versions.append(current)
+
+    def carried():
+        current = _fresh(prefix)
+        results = [_first_reads(current, k)]
+        for update in updates:
+            current = append_snapshot(current, update)
+            results.append(_first_reads(current, k))
+        return results
+
+    def fresh():
+        results = [_first_reads(_fresh(prefix), k)]
+        for version in versions:
+            results.append(_first_reads(_fresh(version), k))
+        return results
+
+    for i, (ours, theirs) in enumerate(zip(carried(), fresh())):
+        assert ours[0].diff(theirs[0]) == (), f"evolution diverges at version {i}"
+        assert ours[1].diff(theirs[1]) == (), f"explore diverges at version {i}"
+    fresh_timing = measure(fresh, repeats=repeats)
+    carried_timing = measure(carried, repeats=repeats)
+    row = {
+        "n_points": n_points,
+        "n_appends": len(updates),
+        "n_nodes": graph.n_nodes,
+        "n_edges": graph.n_edges,
+        "fresh_best_s": fresh_timing.best,
+        "carried_best_s": carried_timing.best,
+        "speedup": speedup(fresh_timing, carried_timing),
+    }
+    print(
+        f"  carried state ({n_points} points, {graph.n_nodes} nodes, "
+        f"{graph.n_edges} edges): fresh {fresh_timing.best:.4f}s "
+        f"carried {carried_timing.best:.4f}s speedup {row['speedup']:.2f}x"
+    )
+    return row
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -236,6 +365,11 @@ def main(argv=None):
     )
     appends_row = bench_appends(initial, updates, repeats)
     rows = bench_views(initial, grown_graphs(initial, updates), updates, repeats)
+    carried_row = bench_carried_state(
+        CARRIED_POINTS_SMOKE if args.smoke else CARRIED_POINTS,
+        0.01 if args.smoke else 0.02,
+        repeats,
+    )
 
     report = {
         "meta": {
@@ -247,13 +381,18 @@ def main(argv=None):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "gate": GATE,
+            "cpu_count": os.cpu_count(),
         },
         "ingestion": appends_row,
         "speedups": rows,
+        "carried_state": carried_row,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
 
+    if carried_row["carried_best_s"] > carried_row["fresh_best_s"]:
+        print("WARNING: carried derived state is slower than a fresh rebuild")
+        return 1
     if args.smoke:
         # Smoke timelines are too short for maintenance to pay off;
         # only the full-size run says anything about the gate.

@@ -180,6 +180,12 @@ class TemporalGraph:
             self._storage_name = name
         return self._storage
 
+    @property
+    def built_storage(self) -> "GraphStorageBackend | None":
+        """The storage backend if it has been built, else ``None``
+        (unlike :attr:`storage`, never builds one)."""
+        return self._storage
+
     def with_storage(
         self, storage: "GraphStorageBackend | str"
     ) -> "TemporalGraph":

@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from ..frames import LabeledFrame
+from ..storage.base import StorageFrames
 from .graph import EdgeId, NodeId, TemporalGraph
 from .intervals import Timeline
 from ..errors import UnknownLabelError, ValidationError
@@ -81,16 +82,28 @@ class SnapshotUpdate:
 
 
 def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGraph:
-    """A new graph whose timeline ends with the update's time point."""
+    """A new graph whose timeline ends with the update's time point.
+
+    Version *n+1* extends version *n*'s derived state instead of rebuilding
+    it from the whole history: the label indexes are the input's indexes
+    plus the new labels (one node, one edge and one time index, each
+    shared by every frame over that axis), and when the input's storage
+    backend has been built, the new graph's backend is seeded from it
+    (:meth:`~repro.storage.GraphStorageBackend.extended`), carrying every
+    cache the input had computed.  Each structure stays bit-identical to
+    a from-scratch build of the same graph.
+    """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
-    new_times = graph.timeline.labels + (update.time,)
+    times = graph.node_presence.col_index.extended([update.time], "column")
+    new_times = times.labels
 
-    known_nodes = set(graph.node_presence.row_labels)
     incoming = dict(update.nodes)
-    new_node_ids = [n for n in incoming if n not in known_nodes]
-    all_nodes = graph.node_presence.row_labels + tuple(new_node_ids)
-    node_pos = {n: i for i, n in enumerate(all_nodes)}
+    known_nodes = graph.node_presence.row_index
+    new_node_ids = [n for n in incoming if n not in known_nodes.positions]
+    nodes = known_nodes.extended(new_node_ids)
+    node_pos = nodes.positions
+    n_nodes = len(nodes.labels)
 
     varying_names = graph.varying_attribute_names
     for node, values in incoming.items():
@@ -129,52 +142,64 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
                 f"edge {(u, v)!r} references a node absent from the snapshot"
             )
 
-    node_values = np.zeros((len(all_nodes), len(new_times)), dtype=np.uint8)
+    present_rows = [node_pos[node] for node in incoming]
+    node_values = np.zeros((n_nodes, len(new_times)), dtype=np.uint8)
     node_values[: graph.n_nodes, :-1] = graph.node_presence.values
-    for node in incoming:
-        node_values[node_pos[node], -1] = 1
-    node_presence = LabeledFrame(all_nodes, new_times, node_values)
+    node_values[present_rows, -1] = 1
+    node_presence = LabeledFrame.from_index(nodes, times, node_values)
 
-    static_names = graph.static_attrs.col_labels
-    static_values = np.empty((len(all_nodes), len(static_names)), dtype=object)
+    static_names = graph.static_attrs.col_index
+    static_values = np.empty((n_nodes, len(static_names.labels)), dtype=object)
     static_values[: graph.n_nodes] = graph.static_attrs.values
     for i, node in enumerate(new_node_ids):
         provided = dict(update.static.get(node, {}))
-        for col, name in enumerate(static_names):
+        for col, name in enumerate(static_names.labels):
             static_values[graph.n_nodes + i, col] = provided.get(str(name))
-    static_attrs = LabeledFrame(all_nodes, static_names, static_values)
+    static_attrs = LabeledFrame.from_index(nodes, static_names, static_values)
 
     varying_attrs: dict[str, LabeledFrame] = {}
     for name in varying_names:
-        values = np.full((len(all_nodes), len(new_times)), None, dtype=object)
+        # numpy fills a new object array with None, the absent cell.
+        values = np.empty((n_nodes, len(new_times)), dtype=object)
         values[: graph.n_nodes, :-1] = graph.varying_attrs[name].values
         for node, node_values_map in incoming.items():
             if name in node_values_map:
                 values[node_pos[node], -1] = node_values_map[name]
-        varying_attrs[name] = LabeledFrame(all_nodes, new_times, values)
+        varying_attrs[name] = LabeledFrame.from_index(nodes, times, values)
 
-    known_edges = graph.edge_presence.row_labels
-    known_edge_set = set(known_edges)
-    new_edge_ids = [e for e in dict.fromkeys(edges) if e not in known_edge_set]
-    all_edges = known_edges + tuple(new_edge_ids)
-    edge_pos = {e: i for i, e in enumerate(all_edges)}
-    edge_values = np.zeros((len(all_edges), len(new_times)), dtype=np.uint8)
+    known_edges = graph.edge_presence.row_index
+    new_edge_ids = [
+        e for e in dict.fromkeys(edges) if e not in known_edges.positions
+    ]
+    edge_index = known_edges.extended(new_edge_ids)
+    edge_values = np.zeros((len(edge_index.labels), len(new_times)), dtype=np.uint8)
     edge_values[: graph.n_edges, :-1] = graph.edge_presence.values
-    for edge in edges:
-        edge_values[edge_pos[edge], -1] = 1
-    edge_presence = LabeledFrame(all_edges, new_times, edge_values)
+    edge_values[[edge_index.positions[edge] for edge in edges], -1] = 1
+    edge_presence = LabeledFrame.from_index(edge_index, times, edge_values)
 
     edge_attr_frame: LabeledFrame | None = None
     if graph.edge_attrs is not None:
-        names = graph.edge_attrs.col_labels
-        attr_values = np.empty((len(all_edges), len(names)), dtype=object)
+        names = graph.edge_attrs.col_index
+        attr_values = np.empty((len(edge_index.labels), len(names.labels)), dtype=object)
         attr_values[: graph.n_edges] = graph.edge_attrs.values
         for i, edge in enumerate(new_edge_ids):
             provided = dict(update.edge_attrs.get(edge, {}))
-            for col, name in enumerate(names):
+            for col, name in enumerate(names.labels):
                 attr_values[graph.n_edges + i, col] = provided.get(str(name))
-        edge_attr_frame = LabeledFrame(all_edges, names, attr_values)
+        edge_attr_frame = LabeledFrame.from_index(edge_index, names, attr_values)
 
+    frames = StorageFrames(
+        times=new_times,
+        node_presence=node_presence,
+        edge_presence=edge_presence,
+        static_attrs=static_attrs,
+        varying_attrs=varying_attrs,
+        edge_attrs=edge_attr_frame,
+    )
+    # Keep the input graph's backend *selection*; a backend the input has
+    # already built seeds the new one (earlier versions keep their own,
+    # untouched), otherwise the new graph builds its layout lazily.
+    previous = graph.built_storage
     return TemporalGraph(
         timeline=Timeline(new_times),
         node_presence=node_presence,
@@ -183,11 +208,9 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
         varying_attrs=varying_attrs,
         validate=False,
         edge_attrs=edge_attr_frame,
-        # Keep the input graph's backend *selection*.  The appended
-        # graph is a fresh value over fresh arrays, so a columnar input
-        # rebuilds its layout lazily — the published version stays
-        # immutable and earlier versions keep their own backends.
-        storage=graph.storage_name,
+        storage=(
+            previous.extended(frames) if previous is not None else graph.storage_name
+        ),
     )
 
 

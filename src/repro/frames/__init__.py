@@ -16,11 +16,12 @@ from .errors import (
     ShapeError,
 )
 from .io import read_frame_csv, read_table_csv, write_frame_csv, write_table_csv
-from .labeled_frame import LabeledFrame
+from .labeled_frame import LabeledFrame, LabelIndex
 from .table import Table, unpivot
 
 __all__ = [
     "LabeledFrame",
+    "LabelIndex",
     "Table",
     "unpivot",
     "FrameError",

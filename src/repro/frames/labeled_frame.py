@@ -18,25 +18,62 @@ deduplicate / group-count, used by Algorithm 2) live in
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import DuplicateLabelError, LabelError, ShapeError
 
-__all__ = ["LabeledFrame"]
+__all__ = ["LabelIndex", "LabeledFrame"]
 
 
-def _build_index(labels: Sequence[Hashable], axis: str) -> dict[Hashable, int]:
-    """Map each label to its position, rejecting duplicates."""
-    index = {label: position for position, label in enumerate(labels)}
-    if len(index) != len(labels):
-        seen: set[Hashable] = set()
-        duplicates = [lbl for lbl in labels if lbl in seen or seen.add(lbl)]
-        raise DuplicateLabelError(
-            f"duplicate {axis} labels are not allowed: {duplicates[:5]!r}"
-        )
-    return index
+def _duplicate_error(labels: Sequence[Hashable], axis: str) -> DuplicateLabelError:
+    seen: set[Hashable] = set()
+    duplicates = [lbl for lbl in labels if lbl in seen or seen.add(lbl)]
+    return DuplicateLabelError(
+        f"duplicate {axis} labels are not allowed: {duplicates[:5]!r}"
+    )
+
+
+class LabelIndex(NamedTuple):
+    """One frame axis: unique labels in order plus ``label -> position``.
+
+    Frames over the same labels share one index (a graph's node presence,
+    static and time-varying attribute frames all hold the same node
+    index), so ``positions`` is never mutated once built: :meth:`extended`
+    copies it.
+    """
+
+    labels: tuple[Hashable, ...]
+    positions: dict[Hashable, int]
+
+    @classmethod
+    def build(cls, labels: Iterable[Hashable], axis: str = "row") -> "LabelIndex":
+        """Index ``labels``, rejecting duplicates."""
+        ordered = tuple(labels)
+        positions = {label: position for position, label in enumerate(ordered)}
+        if len(positions) != len(ordered):
+            raise _duplicate_error(ordered, axis)
+        return cls(ordered, positions)
+
+    def extended(
+        self, new_labels: Sequence[Hashable], axis: str = "row"
+    ) -> "LabelIndex":
+        """A new index with ``new_labels`` appended after the existing ones.
+
+        Costs a C-level copy of the position dict plus O(new labels); the
+        receiver is left untouched.  A new label that repeats an existing
+        (or another new) label raises, as :meth:`build` would.
+        """
+        if not new_labels:
+            return self
+        start = len(self.labels)
+        positions = self.positions.copy()
+        positions.update(zip(new_labels, range(start, start + len(new_labels))))
+        labels = self.labels + tuple(new_labels)
+        if len(positions) != len(labels):
+            raise _duplicate_error(labels, axis)
+        return LabelIndex(labels, positions)
 
 
 class LabeledFrame:
@@ -73,23 +110,43 @@ class LabeledFrame:
         values: Any,
         dtype: Any = None,
     ) -> None:
-        self._row_labels: tuple[Hashable, ...] = tuple(row_labels)
-        self._col_labels: tuple[Hashable, ...] = tuple(col_labels)
+        rows = tuple(row_labels)
+        cols = tuple(col_labels)
         array = np.array(values, dtype=dtype)
         if array.ndim == 1 and array.size == 0:
-            array = array.reshape(len(self._row_labels), len(self._col_labels))
-        if array.shape != (len(self._row_labels), len(self._col_labels)):
+            array = array.reshape(len(rows), len(cols))
+        self._adopt(
+            LabelIndex.build(rows, "row"), LabelIndex.build(cols, "column"), array
+        )
+
+    def _adopt(self, rows: LabelIndex, cols: LabelIndex, array: np.ndarray) -> None:
+        if array.shape != (len(rows.labels), len(cols.labels)):
             raise ShapeError(
                 f"values shape {array.shape} does not match labels "
-                f"({len(self._row_labels)}, {len(self._col_labels)})"
+                f"({len(rows.labels)}, {len(cols.labels)})"
             )
+        self._row_labels, self._row_index = rows
+        self._col_labels, self._col_index = cols
         self._values = array
-        self._row_index = _build_index(self._row_labels, "row")
-        self._col_index = _build_index(self._col_labels, "column")
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+
+    @classmethod
+    def from_index(
+        cls, rows: LabelIndex, cols: LabelIndex, values: np.ndarray
+    ) -> "LabeledFrame":
+        """A frame over already-built label indexes, sharing them.
+
+        ``values`` is adopted without a copy, so the caller hands over an
+        array nothing else writes.  This is how a graph append gives every
+        frame over the same nodes, edges or time points one shared index
+        instead of rebuilding it per frame.
+        """
+        frame = cls.__new__(cls)
+        frame._adopt(rows, cols, values)
+        return frame
 
     @classmethod
     def empty(
@@ -160,6 +217,16 @@ class LabeledFrame:
     @property
     def shape(self) -> tuple[int, int]:
         return self._values.shape  # type: ignore[return-value]
+
+    @property
+    def row_index(self) -> LabelIndex:
+        """The row labels with their positions (shareable, never mutated)."""
+        return LabelIndex(self._row_labels, self._row_index)
+
+    @property
+    def col_index(self) -> LabelIndex:
+        """The column labels with their positions (shareable, never mutated)."""
+        return LabelIndex(self._col_labels, self._col_index)
 
     @property
     def n_rows(self) -> int:

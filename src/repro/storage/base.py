@@ -122,6 +122,44 @@ class GraphStorageBackend(ABC):
         """Build from a :class:`~repro.core.graph.TemporalGraph`."""
         return cls.from_frames(frames_of(graph))
 
+    def extended(self, frames: StorageFrames) -> "GraphStorageBackend":
+        """The next graph version's backend, seeded from this one.
+
+        ``frames`` must be this backend's graph after one
+        :func:`~repro.core.updates.append_snapshot`: the same entity rows
+        followed by the new ones, and one more time point at the end.
+        The new layout is built from ``frames``; every cache this backend
+        has already computed is carried over by extension (O(new point)
+        Python plus array copies) and caches it never computed stay lazy,
+        so an append never computes from scratch what nobody read.  This
+        backend and its arrays are left untouched, and every carried
+        array is bit-identical to what the new backend would compute.
+        """
+        if (
+            len(frames.times) != len(self.times) + 1
+            or frames.node_presence.n_rows < len(self.node_labels)
+            or frames.edge_presence.n_rows < len(self.edge_labels)
+        ):
+            raise StorageError(
+                "extended() needs the frames of this graph plus one appended point"
+            )
+        backend = type(self).from_frames(frames)
+        # A copy: a reader of this version may be filling the cache.
+        carried = dict(getattr(self, "_presence_bits", None) or {})
+        if carried:
+            backend._presence_bits = {
+                entity: _append_time_row(
+                    bits,
+                    (
+                        frames.node_presence
+                        if entity == "nodes"
+                        else frames.edge_presence
+                    ).values[:, -1],
+                )
+                for entity, bits in carried.items()
+            }
+        return backend
+
     @abstractmethod
     def to_frames(self) -> StorageFrames:
         """Reconstruct the dense frames, bit-exactly."""
@@ -294,7 +332,9 @@ class GraphStorageBackend(ABC):
         bitorder="little")`` followed by zero padding bytes.  Padding
         bits past the last entity are always zero.  The array is
         read-only and computed at most once per backend, lazily on the
-        first call, so readers of one graph version share it.
+        first call, so readers of one graph version share it; a graph
+        version appended after the first call inherits it extended by one
+        row (:meth:`extended`).
         """
         cache: dict[str, np.ndarray] | None = getattr(self, "_presence_bits", None)
         if cache is None:
@@ -350,12 +390,33 @@ def _pack_time_major(presence: np.ndarray) -> np.ndarray:
     """Pack an ``(n_entities, n_times)`` boolean matrix into the
     read-only, zero-padded ``(n_times, n_words)`` ``uint64`` layout of
     :meth:`GraphStorageBackend.presence_bits`."""
-    n_entities, n_times = presence.shape
-    padded = np.zeros((n_times, -(-n_entities // 64) * 64), dtype=bool)
-    padded[:, :n_entities] = presence.T
-    bits = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    bits = _pack_rows(presence.T)
     bits.flags.writeable = False
     return bits
+
+
+def _pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Pack each row of a ``(k, n_entities)`` array of presence flags
+    into ``ceil(n_entities / 64)`` little-bit-order ``uint64`` words,
+    padding bits zero."""
+    k, n_entities = rows.shape
+    padded = np.zeros((k, -(-n_entities // 64) * 64), dtype=bool)
+    padded[:, :n_entities] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _append_time_row(bits: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """``bits`` widened to ``column``'s entities plus one packed row for
+    ``column`` (the appended point's presence): what
+    :func:`_pack_time_major` gives for the appended presence matrix, since
+    entities new at the appended point are absent from every earlier one."""
+    n_times, n_words = bits.shape
+    row = _pack_rows(column.reshape(1, -1).astype(bool))
+    grown = np.zeros((n_times + 1, row.shape[1]), dtype=np.uint64)
+    grown[:n_times, :n_words] = bits
+    grown[n_times] = row[0]
+    grown.flags.writeable = False
+    return grown
 
 
 def _timeline(times: Sequence[Hashable]) -> Any:

@@ -9,7 +9,7 @@ every other backend is measured against this one.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from typing import Any, ClassVar
 
 import numpy as np
@@ -131,22 +131,23 @@ class DenseBackend(GraphStorageBackend):
 
     def edge_endpoint_rows(self) -> tuple[np.ndarray, np.ndarray]:
         if self._endpoints is None:
-            index = {
-                label: row
-                for row, label in enumerate(self._frames.node_presence.row_labels)
-            }
-            pairs = [
-                (index.get(edge[0], -1), index.get(edge[1], -1))
-                if isinstance(edge, tuple) and len(edge) == 2
-                else (-1, -1)
-                for edge in self._frames.edge_presence.row_labels
-            ]
-            rows = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
-            sources, targets = rows[:, 0].copy(), rows[:, 1].copy()
-            sources.flags.writeable = False
-            targets.flags.writeable = False
-            self._endpoints = (sources, targets)
+            frames = self._frames
+            self._endpoints = _frozen(
+                *_resolve_endpoints(
+                    frames.edge_presence.row_labels,
+                    frames.node_presence.row_index.positions,
+                )
+            )
         return self._endpoints
+
+    def extended(self, frames: StorageFrames) -> "DenseBackend":
+        backend = super().extended(frames)
+        assert isinstance(backend, DenseBackend)
+        if self._endpoints is not None:
+            backend._endpoints = _extend_endpoints(
+                self._endpoints, len(self.node_labels), frames
+            )
+        return backend
 
     # ------------------------------------------------------------------
     # Accounting
@@ -162,6 +163,57 @@ class DenseBackend(GraphStorageBackend):
         if frames.edge_attrs is not None:
             total += _object_array_nbytes(frames.edge_attrs.values)
         return total
+
+
+def _resolve_endpoints(
+    edges: Sequence[Hashable], index: Mapping[Hashable, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge label's endpoint rows in ``index`` (``-1`` when dangling
+    or when the label is not a ``(u, v)`` pair)."""
+    pairs = [
+        (index.get(edge[0], -1), index.get(edge[1], -1))
+        if isinstance(edge, tuple) and len(edge) == 2
+        else (-1, -1)
+        for edge in edges
+    ]
+    rows = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    return rows[:, 0].copy(), rows[:, 1].copy()
+
+
+def _extend_endpoints(
+    endpoints: tuple[np.ndarray, np.ndarray], n_old_nodes: int, frames: StorageFrames
+) -> tuple[np.ndarray, np.ndarray]:
+    """The previous version's endpoint rows plus the appended edges' rows.
+
+    Node rows never move on append, so old entries stay valid; only a
+    ``-1`` can change, when the dangling endpoint (possible in a
+    ``validate=False`` graph) is one of the nodes this append introduced.
+    """
+    old_sources, old_targets = endpoints
+    labels = frames.edge_presence.row_labels
+    index = frames.node_presence.row_index.positions
+    new_sources, new_targets = _resolve_endpoints(
+        labels[old_sources.shape[0] :], index
+    )
+    sources = np.concatenate([old_sources, new_sources])
+    targets = np.concatenate([old_targets, new_targets])
+    if len(index) > n_old_nodes:
+        dangling = np.flatnonzero(
+            (old_sources < 0) | (old_targets < 0)
+        ).tolist()
+        if dangling:
+            sources[dangling], targets[dangling] = _resolve_endpoints(
+                [labels[row] for row in dangling], index
+            )
+    return _frozen(sources, targets)
+
+
+def _frozen(
+    sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    sources.flags.writeable = False
+    targets.flags.writeable = False
+    return sources, targets
 
 
 def _object_array_nbytes(values: np.ndarray) -> int:

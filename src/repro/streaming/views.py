@@ -315,9 +315,10 @@ class ExplorationView(StreamingView):
     # ------------------------------------------------------------------
 
     def _presence(self, graph: TemporalGraph) -> np.ndarray:
+        """The raw (``uint8``) presence matrix of the watched entity."""
         if self.entity is EntityKind.NODES:
-            return graph.node_presence.values.astype(bool)
-        return graph.edge_presence.values.astype(bool)
+            return graph.node_presence.values
+        return graph.edge_presence.values
 
     def _entity_labels(self, graph: TemporalGraph) -> tuple[Hashable, ...]:
         if self.entity is EntityKind.NODES:
@@ -343,7 +344,7 @@ class ExplorationView(StreamingView):
                     f"view reference {reference} out of range 0..{n_times - 1}"
                 )
             self._reference = reference
-        presence = self._presence(graph)
+        presence = self._presence(graph).astype(bool)
         self._old_mask = presence[:, self._reference].copy()
         self._match = (
             static_match_mask(graph, self.entity, self.attributes, self.key)
@@ -374,8 +375,7 @@ class ExplorationView(StreamingView):
             )
             self._match = np.concatenate([self._match, appended])
         index = len(graph.timeline.labels) - 1
-        column = self._presence(graph)[:, index]
-        self._absorb(column, index)
+        self._absorb(self._presence(graph)[:, index].astype(bool), index)
 
     def _absorb(self, column: np.ndarray, index: int) -> None:
         """One chain step: extend the new-side mask by ``column``."""

@@ -18,7 +18,7 @@ from .algorithm2 import (
     aggregate_evolution_reference,
     aggregation_engines,
 )
-from .asserts import assert_same_aggregate, assert_same_graph
+from .asserts import assert_same_aggregate, assert_same_graph, carried_state_problem
 from .generators import (
     GraphSpec,
     graph_from_maps,
@@ -48,6 +48,7 @@ __all__ = [
     "aggregation_engines",
     "assert_same_aggregate",
     "assert_same_graph",
+    "carried_state_problem",
     "GraphSpec",
     "graph_from_maps",
     "graph_to_maps",

@@ -38,12 +38,14 @@ from ..core import (
     union,
 )
 from ..core.evolution import EvolutionWeights
-from ..core.updates import split_history
+from ..core.updates import SnapshotUpdate, append_snapshot, split_history
 from ..errors import ConfigurationError
+from ..frames import LabeledFrame
 from ..exploration.events import ChainEvaluator, EntityKind, EventCounter, EventType
 from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..materialize.streaming import AggregateTotalsView
 from ..streaming import EvolutionView, ExplorationView, StreamingStore
+from .asserts import carried_state_problem
 from .generators import graph_to_maps, random_time_sets
 
 __all__ = ["Law", "register_law", "law_registry", "get_laws"]
@@ -793,4 +795,74 @@ def _streaming_exploration_delta(
         padded[: got.mask.shape[0]] = got.mask
         if not np.array_equal(expected.mask, padded):
             return f"step {i} masks diverge"
+    return None
+
+
+def _with_dangling_edge(
+    initial: TemporalGraph, updates: Sequence[SnapshotUpdate]
+) -> TemporalGraph:
+    """``initial`` plus one never-active edge from its first node to a
+    node that only arrives in a later update — the ``validate=False``
+    dangling endpoint an append must resolve once the node exists."""
+    late = next(
+        (n for u in updates for n in u.nodes if not initial.node_presence.has_row(n)),
+        None,
+    )
+    if late is None or not initial.nodes:
+        return initial
+    edge = (initial.nodes[0], late)
+
+    def grow(frame: LabeledFrame, value: object) -> LabeledFrame:
+        row = np.full((1, frame.n_cols), value, dtype=frame.values.dtype)
+        return frame.concat_rows(LabeledFrame([edge], frame.col_labels, row))
+
+    return TemporalGraph(
+        timeline=initial.timeline,
+        node_presence=initial.node_presence,
+        edge_presence=grow(initial.edge_presence, 0),
+        static_attrs=initial.static_attrs,
+        varying_attrs=initial.varying_attrs,
+        validate=False,
+        edge_attrs=(
+            None if initial.edge_attrs is None else grow(initial.edge_attrs, None)
+        ),
+        storage=initial.storage_name,
+    )
+
+
+@register_law(
+    "streaming-carried-state",
+    "every appended version's carried label indexes, edge endpoint rows "
+    "and presence bits equal a from-scratch build bit-exactly, on every "
+    "storage backend, whichever versions read their caches and when a "
+    "dangling edge endpoint arrives in a later update",
+    hostile_safe=False,
+)
+def _streaming_carried_state(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    from ..storage import backend_names
+
+    names = backend_names()
+    backend = names[int(rng.integers(len(names)))]
+    # Which versions read their caches before the next append: every
+    # one, none, or every other one (carried state extended unread).
+    pattern = int(rng.integers(3))
+    initial, updates = split_history(graph)
+    if rng.integers(2):
+        initial = _with_dangling_edge(initial, updates)
+    versions = [initial.with_storage(backend)]
+    for i, update in enumerate(updates):
+        current = versions[-1]
+        if pattern == 0 or (pattern == 2 and i % 2 == 0):
+            current.storage.edge_endpoint_rows()
+            current.storage.presence_bits("nodes")
+            current.storage.presence_bits("edges")
+        versions.append(append_snapshot(current, update))
+    if pattern == 1 and any(v.built_storage is not None for v in versions[1:]):
+        return "an append built a backend although no version read one"
+    for i, version in enumerate(versions):
+        problem = carried_state_problem(version)
+        if problem is not None:
+            return f"{backend} version {i} of {len(versions) - 1}: {problem}"
     return None
