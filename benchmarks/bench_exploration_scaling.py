@@ -14,7 +14,10 @@ evaluated pair), and over the seed's naive per-pair re-reduction:
   loop, driven through identical chain walks;
 * **paper configurations** — the Figure 13 (MovieLens) and Figure 14
   (DBLP) exploration cases at their Section-3.5 thresholds, kernel vs.
-  the incremental and naive walks.
+  the incremental and naive walks;
+* **time-varying DBLP** — ``EventCounter`` construction and one
+  ``explore`` by ``publications`` for nodes and edges, recorded without
+  a gate.
 
 Gates: the kernel is at least as fast as the per-step walk on every
 synthetic and paper row (:data:`KERNEL_GATE`), and the best 50+-point
@@ -43,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench import measure, speedup
-from repro.core.aggregation import _node_tuple_table
 from repro.datasets import (
     EvolvingGraphConfig,
     StaticAttributeSpec,
@@ -64,6 +66,7 @@ from repro.exploration import (
     suggest_threshold,
 )
 from repro.testing import reference_explore
+from repro.testing.reference_explore import seed_appearance_count
 
 FF = (("f",), ("f",))
 #: The kernel must never lose to the per-step walk it replaced.
@@ -77,47 +80,11 @@ class _SeedEventCounter(EventCounter):
 
     The honest "old" baseline for time-varying attributes: one
     ``_node_tuple_table`` call and a Python loop over entities x window
-    per count, exactly as the pre-vectorization implementation did.
+    per count (:func:`repro.testing.reference_explore.seed_appearance_count`).
     """
 
     def _count_appearances(self, event, old, new, mask):  # type: ignore[override]
-        window = self._event_window(event, old, new)
-        node_table = _node_tuple_table(self.graph, self.attributes, tuple(window))
-        if self.entity is EntityKind.NODES:
-            kept = {
-                node
-                for node, keep in zip(self.graph.node_presence.row_labels, mask)
-                if keep
-            }
-            appearances = {
-                (node, values)
-                for node, _, values in node_table.rows
-                if node in kept
-            }
-            if self.key is None:
-                return len(appearances)
-            wanted = tuple(self.key)
-            return sum(1 for _, values in appearances if values == wanted)
-        lookup = {(node, t): values for node, t, values in node_table.rows}
-        positions = [self.graph.timeline.index_of(t) for t in window]
-        presence = self.graph.edge_presence.values
-        appearances = set()
-        for row, edge in enumerate(self.graph.edge_presence.row_labels):
-            if not mask[row]:
-                continue
-            u, v = edge
-            for t, pos in zip(window, positions):
-                if not presence[row, pos]:
-                    continue
-                source = lookup.get((u, t))
-                target = lookup.get((v, t))
-                if source is None or target is None:
-                    continue
-                appearances.add((edge, (source, target)))
-        if self.key is None:
-            return len(appearances)
-        wanted = (tuple(self.key[0]), tuple(self.key[1]))
-        return sum(1 for _, pair in appearances if pair == wanted)
+        return seed_appearance_count(self, event, old, new, mask)
 
 
 def synthetic_graph(n_times: int, nodes: int, edges: int, seed: int = 7):
@@ -264,6 +231,47 @@ def bench_varying_fallback(lengths, nodes, edges, repeats):
     return rows
 
 
+def bench_varying_dblp(graph, repeats):
+    """Exploration by DBLP's time-varying ``publications``, nodes and
+    edges: ``EventCounter`` construction (the tuple-code build) and one
+    stability/maximal/extend-new ``explore`` (construction included).
+    Recorded only; no gate binds these rows."""
+    rows = []
+    for entity in (EntityKind.NODES, EntityKind.EDGES):
+        counter = measure(
+            lambda: EventCounter(graph, entity=entity, attributes=["publications"]),
+            repeats=repeats,
+        )
+        run = measure(
+            lambda: explore(
+                graph, EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, 1,
+                entity=entity, attributes=["publications"],
+            ),
+            repeats=repeats,
+        )
+        rows.append(
+            {
+                "dataset": "dblp",
+                "attribute": "publications",
+                "entity": str(entity),
+                "case": "stability_maximal",
+                "k": 1,
+                "n_times": len(graph.timeline),
+                "n_nodes": graph.n_nodes,
+                "n_edges": graph.n_edges,
+                "counter_best_s": counter.best,
+                "explore_best_s": run.best,
+                "evaluations": run.result.evaluations,
+                "pairs": len(run.result.pairs),
+            }
+        )
+        print(
+            f"  dblp publications {entity}: counter {counter.best * 1e3:.1f}ms "
+            f"explore {run.best * 1e3:.1f}ms"
+        )
+    return rows
+
+
 # The Figure 13/14 exploration cases: (name, event, goal, extend, mode).
 PAPER_CASES = (
     ("stability_maximal", EventType.STABILITY, Goal.MAXIMAL, ExtendSide.NEW, "max"),
@@ -325,11 +333,13 @@ def main(argv=None):
         lengths, nodes, edges = [8, 12], 80, 160
         varying_lengths = [8, 12]
         ml_scale, dblp_scale = 0.02, 0.01
+        varying_dblp_scale = 0.01
         repeats = args.repeats or 1
     else:
         lengths, nodes, edges = [12, 25, 50, 60, 90], 300, 600
         varying_lengths = [12, 25]
         ml_scale, dblp_scale = 0.05, 0.02
+        varying_dblp_scale = 0.25
         repeats = args.repeats or 7
 
     print("synthetic scaling (static path):")
@@ -341,6 +351,10 @@ def main(argv=None):
         "movielens", generate_movielens(scale=ml_scale), repeats
     )
     dblp = bench_paper_configs("dblp", generate_dblp(scale=dblp_scale), repeats)
+    print("time-varying exploration (DBLP publications, recorded only):")
+    varying_dblp = bench_varying_dblp(
+        generate_dblp(scale=varying_dblp_scale), min(repeats, 3)
+    )
 
     report = {
         "meta": {
@@ -354,10 +368,12 @@ def main(argv=None):
             "synthetic_size": {"nodes_per_t": nodes, "edges_per_t": edges},
             "movielens_scale": ml_scale,
             "dblp_scale": dblp_scale,
+            "varying_dblp_scale": varying_dblp_scale,
         },
         "synthetic_scaling": synthetic,
         "varying_fallback": varying,
         "paper_configs": movielens + dblp,
+        "varying_dblp": varying_dblp,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")

@@ -62,6 +62,14 @@ class TestExploreBaseline:
                     row["speedup"], row["old_best_s"], row["new_best_s"]
                 )
 
+    def test_varying_dblp_rows_recorded(self, explore_baseline):
+        rows = explore_baseline["varying_dblp"]
+        assert {row["entity"] for row in rows} == {"nodes", "edges"}
+        for row in rows:
+            assert row["attribute"] == "publications"
+            assert 0 < row["counter_best_s"]
+            assert 0 < row["explore_best_s"]
+
     def test_paper_configs_cover_both_datasets(self, explore_baseline):
         datasets = {row["dataset"] for row in explore_baseline["paper_configs"]}
         assert datasets == {"movielens", "dblp"}

@@ -17,9 +17,12 @@ are found with one ``nonzero`` over the presence block; only those cells
 are factorized, attribute by attribute, and the per-attribute codes are
 folded into one dense tuple code per appearance.  DIST deduplication is
 then a ``numpy.unique`` over ``(entity, tuple code)`` keys and counting
-is a ``numpy.bincount``; edges look their endpoints' tuple codes up in a
-``(node row, time)`` code grid.  Every key stays below the square of the
+is a ``numpy.bincount``; edges look their endpoints' appearances up in a
+``(node row, time)`` grid.  Every key stays below the square of the
 number of appearances, so wide attribute domains cannot overflow.
+Measures (:mod:`repro.core.measures`), evolution, exploration's
+time-varying counts and the streaming evolution view read the same
+appearance codes.
 
 The literal Algorithm 2 transcription (unpivot / merge / deduplicate /
 group-count over relational tables) lives in :mod:`repro.testing` as the
@@ -260,55 +263,6 @@ class AggregateGraph:
         )
 
 
-def _node_tuple_table(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-    rows: Iterable[int] | None = None,
-) -> Table:
-    """The long table of ``(node, t, attribute tuple)`` appearances.
-
-    One row per (node, time point) where the node is present, carrying the
-    node's attribute tuple at that time — the merged, unpivoted ``A'`` of
-    Algorithm 2 (before any deduplication).  Measure aggregation and the
-    Algorithm-2 oracle build on it.  ``rows`` restricts the scan to a
-    subset of node row indices; ``None`` scans every node.
-    """
-    time_positions = [graph.timeline.index_of(t) for t in times]
-    static_positions = {
-        name: graph.static_attrs.col_position(name)
-        for name in attributes
-        if graph.is_static(name)
-    }
-    rows_out: list[tuple[Any, ...]] = []
-    presence = graph.node_presence.values
-    varying_values = {
-        name: graph.varying_attrs[name].values
-        for name in attributes
-        if name not in static_positions
-    }
-    static_values = graph.static_attrs.values
-    node_labels = graph.node_presence.row_labels
-    row_indices = range(len(node_labels)) if rows is None else rows
-    for row_idx in row_indices:
-        node = node_labels[row_idx]
-        static_part = {
-            name: static_values[row_idx, pos]
-            for name, pos in static_positions.items()
-        }
-        for t, t_pos in zip(times, time_positions):
-            if not presence[row_idx, t_pos]:
-                continue
-            values = tuple(
-                static_part[name]
-                if name in static_part
-                else varying_values[name][row_idx, t_pos]
-                for name in attributes
-            )
-            rows_out.append((node, t, values))
-    return Table(("id", "t", "tuple"), rows_out)
-
-
 # ----------------------------------------------------------------------
 # The vectorized kernel
 # ----------------------------------------------------------------------
@@ -420,8 +374,26 @@ def _tuple_codes(
         cols=cols,
         entity=entity,
         codes=dense.reshape(-1),
-        tuples=list(zip(*decoded)),
+        # No attributes: every appearance carries the empty tuple.
+        tuples=list(zip(*decoded)) if layers else [()] * len(first),
     )
+
+
+def _appearance_values(
+    graph: TemporalGraph,
+    name: str,
+    node_codes: _TupleCodes,
+    positions: np.ndarray,
+) -> np.ndarray:
+    """The value of attribute ``name`` at every appearance of
+    ``node_codes``, in appearance order (the cells themselves, not
+    factorized representatives)."""
+    if graph.is_static(name):
+        frame = graph.static_attrs
+        return frame.values[node_codes.rows, frame.col_position(name)]
+    return graph.varying_attrs[name].values[
+        node_codes.rows, positions[node_codes.cols]
+    ]
 
 
 def _edge_appearances(
@@ -431,13 +403,15 @@ def _edge_appearances(
     start: int = 0,
     stop: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(edge row, window column, source code, target code)`` per edge
-    appearance of edge rows ``[start, stop)`` over ``positions``.
+    """``(edge row, window column, source, target)`` per edge appearance
+    of edge rows ``[start, stop)`` over ``positions``, in row-major
+    order; ``source`` and ``target`` index the endpoints' appearances in
+    ``node_codes``.
 
     An appearance is kept when both endpoints are present at that time
-    with a tuple code in ``node_codes``.  A dangling endpoint (row
-    ``-1``) is skipped, as is an endpoint absent at the edge's time:
-    Algorithm 2's merge finds no tuple for either.
+    in ``node_codes``.  A dangling endpoint (row ``-1``) is skipped, as
+    is an endpoint absent at the edge's time: Algorithm 2's merge finds
+    no tuple for either.
     """
     sources, targets = graph.storage.edge_endpoint_rows()
     sources, targets = sources[start:stop], targets[start:stop]
@@ -446,16 +420,29 @@ def _edge_appearances(
     known = (sources[edge_rows] >= 0) & (targets[edge_rows] >= 0)
     edge_rows, cols = edge_rows[known], cols[known]
     grid = np.full((graph.n_nodes, len(positions)), -1, dtype=np.int64)
-    grid[node_codes.rows, node_codes.cols] = node_codes.codes
-    source_codes = grid[sources[edge_rows], cols]
-    target_codes = grid[targets[edge_rows], cols]
-    keep = (source_codes >= 0) & (target_codes >= 0)
-    return (
-        edge_rows[keep] + start,
-        cols[keep],
-        source_codes[keep],
-        target_codes[keep],
+    grid[node_codes.rows, node_codes.cols] = np.arange(len(node_codes.rows))
+    source = grid[sources[edge_rows], cols]
+    target = grid[targets[edge_rows], cols]
+    keep = (source >= 0) & (target >= 0)
+    return edge_rows[keep] + start, cols[keep], source[keep], target[keep]
+
+
+def _edge_pairs(
+    node_codes: _TupleCodes, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, list[EdgeKey]]:
+    """Dense ``(source tuple, target tuple)`` pair code per edge
+    appearance (endpoints as :func:`_edge_appearances` returns them),
+    plus the decoded pairs."""
+    tuples = node_codes.tuples
+    radix = max(len(tuples), 1)
+    pairs, dense = np.unique(
+        node_codes.codes[sources] * radix + node_codes.codes[targets],
+        return_inverse=True,
     )
+    decoded = (part.tolist() for part in np.divmod(pairs, radix))
+    return dense.reshape(-1), [
+        (tuples[source], tuples[target]) for source, target in zip(*decoded)
+    ]
 
 
 def _count(
@@ -498,7 +485,8 @@ def _weights(
     with trace_span("aggregate.factorize"):
         node_codes = _tuple_codes(graph, attributes, positions, rows)
     radix = len(node_codes.tuples)
-    node_counts = pairs = pair_counts = np.zeros(0, dtype=np.int64)
+    node_counts = pair_counts = np.zeros(0, dtype=np.int64)
+    pairs: list[EdgeKey] = []
     with trace_span("aggregate.count"):
         if kind != "edge":
             metrics.inc("aggregate.appearances", len(node_codes.codes))
@@ -510,22 +498,11 @@ def _weights(
                 graph, node_codes, positions, start, stop
             )
             metrics.inc("aggregate.appearances", len(edge_rows))
-            pairs, pair_codes = np.unique(
-                sources * radix + targets, return_inverse=True
-            )
-            pair_counts = _count(
-                edge_rows, pair_codes.reshape(-1), len(pairs), distinct
-            )
+            pair_codes, pairs = _edge_pairs(node_codes, sources, targets)
+            pair_counts = _count(edge_rows, pair_codes, len(pairs), distinct)
     with trace_span("aggregate.assemble"):
-        tuples = node_codes.tuples
-        node_weights = dict(zip(tuples, node_counts.tolist()))
-        pair_sources, pair_targets = np.divmod(pairs, max(radix, 1))
-        edge_weights = {
-            (tuples[source], tuples[target]): count
-            for source, target, count in zip(
-                pair_sources.tolist(), pair_targets.tolist(), pair_counts.tolist()
-            )
-        }
+        node_weights = dict(zip(node_codes.tuples, node_counts.tolist()))
+        edge_weights = dict(zip(pairs, pair_counts.tolist()))
     return node_weights, edge_weights
 
 

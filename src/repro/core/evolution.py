@@ -28,7 +28,7 @@ from .aggregation import (
     AttributeTuple,
     EdgeKey,
     _edge_appearances,
-    _node_tuple_table,
+    _edge_pairs,
     _tuple_codes,
     _window_positions,
 )
@@ -214,39 +214,6 @@ class EvolutionAggregate:
         )
 
 
-def _appearance_sets(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    times: TimeSet,
-) -> tuple[
-    set[tuple[Hashable, AttributeTuple]],
-    set[tuple[tuple[Hashable, Hashable], EdgeKey]],
-]:
-    """Distinct (entity, tuple) appearances over a time window, as sets.
-
-    The set-based form of Fig. 4b's unit of counting: the reference
-    evolution engine in :mod:`repro.testing` reduces these sets, and
-    :class:`repro.streaming.EvolutionView` seeds its counters from them.
-    """
-    node_table = _node_tuple_table(graph, attributes, times)
-    node_appearances = {(node, values) for node, _, values in node_table.rows}
-    lookup = {(node, t): values for node, t, values in node_table.rows}
-    edge_appearances: set[tuple[tuple[Hashable, Hashable], EdgeKey]] = set()
-    time_positions = [graph.timeline.index_of(t) for t in times]
-    presence = graph.edge_presence.values
-    for row_idx, edge in enumerate(graph.edge_presence.row_labels):
-        u, v = edge  # type: ignore[misc]
-        for t, t_pos in zip(times, time_positions):
-            if not presence[row_idx, t_pos]:
-                continue
-            source = lookup.get((u, t))
-            target = lookup.get((v, t))
-            if source is None or target is None:
-                continue
-            edge_appearances.add((edge, (source, target)))  # type: ignore[arg-type]
-    return node_appearances, edge_appearances
-
-
 def _event_weights(
     keys: np.ndarray,
     in_old: np.ndarray,
@@ -325,17 +292,9 @@ def aggregate_evolution(
         edge_rows, edge_cols, sources, targets = _edge_appearances(
             graph, codes, positions
         )
-        pairs, pair_codes = np.unique(
-            sources * len(tuples) + targets, return_inverse=True
-        )
-        edge_keys = [
-            (tuples[source], tuples[target])
-            for source, target in zip(
-                *(part.tolist() for part in np.divmod(pairs, max(len(tuples), 1)))
-            )
-        ]
+        pair_codes, edge_keys = _edge_pairs(codes, sources, targets)
         edge_weights = _event_weights(
-            edge_rows.astype(np.int64) * len(pairs) + pair_codes.reshape(-1),
+            edge_rows.astype(np.int64) * len(edge_keys) + pair_codes,
             in_old[edge_cols],
             in_new[edge_cols],
             edge_keys,

@@ -9,6 +9,14 @@ per aggregate edge (over the endpoint values of each edge appearance).
 Semantics mirror the COUNT variants: with ``distinct=True`` each
 ``(entity, grouping tuple, measure value)`` appearance contributes once;
 with ``distinct=False`` every (entity, time) appearance contributes.
+
+Both functions run on the aggregation engine's appearance codes
+(:func:`repro.core.aggregation._tuple_codes` and ``_edge_appearances``):
+grouping tuples are integer codes, DIST keeps each key's first
+appearance, and every reducer gets its group's values as a list in
+row-major appearance order — the order the per-cell reference in
+:mod:`repro.testing.reference_measures` feeds them in, so float SUM and
+AVG agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +25,20 @@ from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .aggregation import AttributeTuple, EdgeKey, _node_tuple_table
+import numpy as np
+
+from .aggregation import (
+    AttributeTuple,
+    EdgeKey,
+    _appearance_values,
+    _edge_appearances,
+    _edge_pairs,
+    _factorize,
+    _tuple_codes,
+    _window_positions,
+)
 from .graph import TemporalGraph
-from .intervals import TimeSet
+from .operators import ordered_times
 from ..errors import AggregationError, UnknownLabelError
 
 __all__ = ["MeasureGraph", "aggregate_measure", "aggregate_edge_measure", "MEASURES"]
@@ -70,6 +89,38 @@ class MeasureGraph:
         )
 
 
+def _first_occurrences(*keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of each distinct key combination's first
+    occurrence (one integer array per key component)."""
+    _, first = np.unique(np.stack(keys, axis=1), axis=0, return_index=True)
+    return np.sort(first)
+
+
+def _reduce_groups(
+    groups: np.ndarray,
+    values: np.ndarray,
+    labels: Sequence[Any],
+    reducer: Callable[[list[Any]], Any],
+) -> dict[Any, Any]:
+    """``labels[group] -> reducer(values of that group)``.
+
+    Each group's values keep their order in ``values``, and groups come
+    in order of first appearance.
+    """
+    if not len(groups):
+        return {}
+    order = np.argsort(groups, kind="stable")
+    ranked = groups[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    stops = np.r_[starts[1:], len(ranked)]
+    ordered = values[order].tolist()
+    runs = sorted(zip(order[starts].tolist(), starts.tolist(), stops.tolist()))
+    return {
+        labels[groups[first]]: reducer(ordered[start:stop])
+        for first, start, stop in runs
+    }
+
+
 def aggregate_measure(
     graph: TemporalGraph,
     attributes: Sequence[str],
@@ -117,74 +168,35 @@ def aggregate_measure(
             f"measure attribute {measure_attribute!r} cannot also be a "
             "grouping attribute"
         )
-    if times is None:
-        window: TimeSet = graph.timeline.labels
-    else:
-        window = tuple(times)
-        for t in window:
-            graph.timeline.index_of(t)
-    reducer = MEASURES[measure]
+    window = graph.timeline.labels if times is None else ordered_times(graph, times)
+    positions = _window_positions(graph, window)
+    codes = _tuple_codes(graph, attributes, positions)
+    cells = _appearance_values(graph, measure_attribute, codes, positions)
+    value_codes, pool = _factorize(cells)
+    valued = np.array([value is not None for value in pool], dtype=bool)
+    valued = valued[value_codes]
 
-    # One long table carrying both the grouping tuple and the measure
-    # value per (node, time) appearance.
-    combined = _node_tuple_table(
-        graph, list(attributes) + [measure_attribute], window
+    kept = np.flatnonzero(valued)
+    if distinct:
+        keys = (codes.entity[kept], codes.codes[kept], value_codes[kept])
+        kept = kept[_first_occurrences(*keys)]
+    node_values = _reduce_groups(
+        codes.codes[kept], cells[kept], codes.tuples, MEASURES[measure]
     )
-    node_rows = [
-        (node, t, values[:-1], values[-1])
-        for node, t, values in combined.rows
-        if values[-1] is not None
-    ]
-    if distinct:
-        seen = set()
-        deduped = []
-        for node, t, group, value in node_rows:
-            key = (node, group, value)
-            if key not in seen:
-                seen.add(key)
-                deduped.append((node, t, group, value))
-        node_rows = deduped
-    node_groups: dict[AttributeTuple, list[float]] = {}
-    for _, _, group, value in node_rows:
-        node_groups.setdefault(group, []).append(value)
-    node_values = {
-        group: reducer(values) for group, values in node_groups.items()
-    }
 
-    lookup = {
-        (node, t): (values[:-1], values[-1])
-        for node, t, values in combined.rows
-    }
-    edge_rows = []
-    presence = graph.edge_presence.values
-    time_positions = [graph.timeline.index_of(t) for t in window]
-    for row_idx, edge in enumerate(graph.edge_presence.row_labels):
-        u, v = edge  # type: ignore[misc]
-        for t, t_pos in zip(window, time_positions):
-            if not presence[row_idx, t_pos]:
-                continue
-            source = lookup.get((u, t))
-            target = lookup.get((v, t))
-            if source is None or target is None:
-                continue
-            if source[1] is None or target[1] is None:
-                continue
-            edge_rows.append((edge, (source[0], target[0]), source[1], target[1]))
+    edge_rows, _, sources, targets = _edge_appearances(graph, codes, positions)
+    both = valued[sources] & valued[targets]
+    edge_rows, sources, targets = edge_rows[both], sources[both], targets[both]
+    pair_codes, pairs = _edge_pairs(codes, sources, targets)
     if distinct:
-        seen = set()
-        deduped = []
-        for edge, pair, sv, tv in edge_rows:
-            key = (edge, pair, sv, tv)
-            if key not in seen:
-                seen.add(key)
-                deduped.append((edge, pair, sv, tv))
-        edge_rows = deduped
-    edge_groups: dict[EdgeKey, list[float]] = {}
-    for _, pair, sv, tv in edge_rows:
-        edge_groups.setdefault(pair, []).extend((sv, tv))
-    edge_values = {
-        pair: reducer(values) for pair, values in edge_groups.items()
-    }
+        keys = (edge_rows, pair_codes, value_codes[sources], value_codes[targets])
+        first = _first_occurrences(*keys)
+        sources, targets, pair_codes = sources[first], targets[first], pair_codes[first]
+    # Each appearance contributes its source value, then its target value.
+    endpoint_values = np.column_stack((cells[sources], cells[targets]))
+    edge_values = _reduce_groups(
+        np.repeat(pair_codes, 2), endpoint_values.reshape(-1), pairs, MEASURES[measure]
+    )
     return MeasureGraph(
         attributes=tuple(attributes),
         measure_attribute=measure_attribute,
@@ -225,49 +237,22 @@ def aggregate_edge_measure(
             f"unknown edge attribute {edge_attribute!r}; graph has "
             f"{graph.edge_attribute_names!r}"
         )
-    if times is None:
-        window: TimeSet = graph.timeline.labels
-    else:
-        window = tuple(times)
-        for t in window:
-            graph.timeline.index_of(t)
-    reducer = MEASURES[measure]
-
-    node_table = _node_tuple_table(graph, attributes, window)
-    lookup = {
-        (node, t): values for node, t, values in node_table.rows
-    }
-    presence = graph.edge_presence.values
-    time_positions = [graph.timeline.index_of(t) for t in window]
-    attr_position = graph.edge_attrs.col_position(edge_attribute)
-    edge_attr_values = graph.edge_attrs.values
-
-    rows: list[tuple[Any, EdgeKey, Any]] = []
-    for row_idx, edge in enumerate(graph.edge_presence.row_labels):
-        value = edge_attr_values[row_idx, attr_position]
-        if value is None:
-            continue
-        u, v = edge  # type: ignore[misc]
-        for t, t_pos in zip(window, time_positions):
-            if not presence[row_idx, t_pos]:
-                continue
-            source = lookup.get((u, t))
-            target = lookup.get((v, t))
-            if source is None or target is None:
-                continue
-            rows.append((edge, (source, target), value))
+    window = graph.timeline.labels if times is None else ordered_times(graph, times)
+    positions = _window_positions(graph, window)
+    codes = _tuple_codes(graph, attributes, positions)
+    column = graph.edge_attrs.values[:, graph.edge_attrs.col_position(edge_attribute)]
+    valued = np.array([value is not None for value in column], dtype=bool)
+    edge_rows, _, sources, targets = _edge_appearances(graph, codes, positions)
+    keep = valued[edge_rows]
+    pair_codes, pairs = _edge_pairs(codes, sources[keep], targets[keep])
+    edge_rows = edge_rows[keep]
     if distinct:
-        seen: set[tuple[Any, EdgeKey, Any]] = set()
-        deduped = []
-        for item in rows:
-            if item not in seen:
-                seen.add(item)
-                deduped.append(item)
-        rows = deduped
-    groups: dict[EdgeKey, list[Any]] = {}
-    for _, pair, value in rows:
-        groups.setdefault(pair, []).append(value)
-    edge_values = {pair: reducer(values) for pair, values in groups.items()}
+        # An edge's value is static, so (edge, pair) is the whole key.
+        first = _first_occurrences(edge_rows, pair_codes)
+        edge_rows, pair_codes = edge_rows[first], pair_codes[first]
+    edge_values = _reduce_groups(
+        pair_codes, column[edge_rows], pairs, MEASURES[measure]
+    )
     return MeasureGraph(
         attributes=tuple(attributes),
         measure_attribute=edge_attribute,

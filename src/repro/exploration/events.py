@@ -39,6 +39,7 @@ from typing import Any, cast
 import numpy as np
 
 from ..core import Interval, TemporalGraph
+from ..core.aggregation import _factorize, _tuple_codes
 from .lattice import ExtendSide, Semantics, Side
 from ..errors import ExplorationError
 from ..obs.metrics import get_metrics
@@ -117,42 +118,64 @@ def static_match_mask(
     edge endpoint rows for edge entities.  An edge with a dangling
     endpoint raises :class:`~repro.errors.ExplorationError`.
     """
+    matches = _static_key_matches(graph, attributes, _key_tuples(entity, key))
     if entity is EntityKind.NODES:
-        (match,) = _static_key_matches(graph, attributes, (key,))
+        (match,) = matches
         if entities is not None:
             frame = graph.node_presence
             match = match[[frame.row_position(node) for node in entities]]
         return match
-    source_match, target_match = _static_key_matches(graph, attributes, key)
+    source_match, target_match = matches
     sources, targets = _edge_endpoint_rows(graph, entities)
     return source_match[sources] & target_match[targets]
+
+
+def _key_tuples(entity: EntityKind, key: Any) -> tuple[tuple[Any, ...], ...]:
+    """The node tuples a key names: ``(key,)`` for a node key, ``(source,
+    target)`` for an edge key.  A malformed key raises
+    :class:`~repro.errors.ExplorationError`."""
+    try:
+        if entity is EntityKind.NODES:
+            return (tuple(key),)
+        source, target = key
+        return (tuple(source), tuple(target))
+    except (TypeError, ValueError):
+        shape = (
+            "an attribute tuple"
+            if entity is EntityKind.NODES
+            else "a (source tuple, target tuple) pair"
+        )
+        raise ExplorationError(f"{entity} key {key!r} is not {shape}") from None
+
+
+def _code_of(values: Sequence[Any], value: Any) -> int:
+    """The position of ``value`` in ``values`` (matched by equality), or
+    :data:`_UNSEEN_CODE` when it never occurs."""
+    try:
+        return values.index(value)
+    except ValueError:
+        return _UNSEEN_CODE
 
 
 def _static_key_matches(
     graph: TemporalGraph, attributes: Sequence[str], keys: Sequence[Any]
 ) -> list[np.ndarray]:
-    """Per key, which nodes' static attribute tuple equals it.
+    """Per key tuple, which nodes' static attribute tuple equals it.
 
     Values match by equality, as tuples compare element-wise: each
-    column is factorized with a dict and every key element resolved to
-    its code (a never-seen element matches no node).
+    column is factorized once and every key element resolved to its
+    code (a never-seen element matches no node).
     """
     attributes = tuple(attributes)
-    keys = [tuple(key) for key in keys]
     matches = [
         np.full(graph.n_nodes, len(key) == len(attributes)) for key in keys
     ]
     frame = graph.static_attrs
     for position, name in enumerate(attributes):
-        column = frame.values[:, frame.col_position(name)].tolist()
-        code_of: dict[Any, int] = {}
-        codes = np.array(
-            [code_of.setdefault(value, len(code_of)) for value in column],
-            dtype=np.int64,
-        )
+        codes, values = _factorize(frame.values[:, frame.col_position(name)])
         for match, key in zip(matches, keys):
             if position < len(key):
-                match &= codes == code_of.get(key[position], _UNSEEN_CODE)
+                match &= codes == _code_of(values, key[position])
     return matches
 
 
@@ -253,6 +276,8 @@ class EventCounter:
         self.key = key
         if key is not None and not self.attributes:
             raise ExplorationError("a key filter requires aggregation attributes")
+        #: The node tuples ``key`` names (one per endpoint for edges).
+        self._key = _key_tuples(entity, key) if key is not None else None
         # Presence is read from the graph's storage backend, and only
         # for the counted entity: the exploration kernel ORs/ANDs the
         # cached time-major bits directly, and the boolean matrix the
@@ -288,49 +313,31 @@ class EventCounter:
         )
 
     def _build_tuple_codes(self) -> None:
-        """Factorize per-``(node, t)`` attribute tuples into integer codes.
+        """Lay the aggregation engine's appearance codes out as a dense
+        ``(node, t)`` tuple-code matrix; absent cells stay ``-1``.
 
-        One pass over the node/time grid (the cost of a single
-        ``_node_tuple_table`` call, amortized over every subsequent
-        count) assigns each distinct attribute tuple an integer and
-        stores the per-cell codes in a dense matrix.  For edge entities
-        the endpoint codes are further combined into a single pair code
-        per ``(edge, t)`` cell, so distinct-appearance counting is one
-        ``np.unique`` over masked ids.
+        One factorization over the whole timeline, amortized over every
+        subsequent count.  For edge entities the endpoint codes are
+        further combined into a single pair code per ``(edge, t)`` cell,
+        so distinct-appearance counting is one ``np.unique`` over masked
+        ids.
         """
         graph = self.graph
-        node_presence = (
-            self._presence()
-            if self.entity is EntityKind.NODES
-            else _unpack(graph.storage.presence_bits("nodes"), graph.n_nodes).T
+        n_times = len(graph.timeline)
+        appearances = _tuple_codes(graph, self.attributes, np.arange(n_times))
+        codes = np.full((graph.n_nodes, n_times), -1, dtype=np.int64)
+        codes[appearances.rows, appearances.cols] = appearances.codes
+        base = max(1, len(appearances.tuples))
+        key_codes = (
+            [_code_of(appearances.tuples, node_key) for node_key in self._key]
+            if self._key is not None
+            else []
         )
-        static_positions = {
-            name: graph.static_attrs.col_position(name)
-            for name in self.attributes
-            if graph.is_static(name)
-        }
-        varying_values = {
-            name: graph.varying_attrs[name].values
-            for name in self.attributes
-            if name not in static_positions
-        }
-        static_values = graph.static_attrs.values
-        code_of: dict[tuple[Any, ...], int] = {}
-        codes = np.full(node_presence.shape, -1, dtype=np.int64)
-        for row, col in zip(*np.nonzero(node_presence)):
-            values = tuple(
-                static_values[row, static_positions[name]]
-                if name in static_positions
-                else varying_values[name][row, col]
-                for name in self.attributes
-            )
-            codes[row, col] = code_of.setdefault(values, len(code_of))
-        base = max(1, len(code_of))
         if self.entity is EntityKind.NODES:
             self._entity_codes = codes
             self._code_stride = base
-            if self.key is not None:
-                self._key_code = code_of.get(tuple(self.key), _UNSEEN_CODE)
+            if key_codes:
+                (self._key_code,) = key_codes
             return
         source_rows, target_rows = _edge_endpoint_rows(graph)
         source_codes = codes[source_rows]
@@ -340,9 +347,8 @@ class EventCounter:
             defined, source_codes * base + target_codes, -1
         )
         self._code_stride = base * base
-        if self.key is not None:
-            source_code = code_of.get(tuple(self.key[0]), -1)
-            target_code = code_of.get(tuple(self.key[1]), -1)
+        if key_codes:
+            source_code, target_code = key_codes
             self._key_code = (
                 source_code * base + target_code
                 if source_code >= 0 and target_code >= 0

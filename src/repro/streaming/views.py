@@ -40,11 +40,13 @@ from typing import Any
 import numpy as np
 
 from ..core import TemporalGraph
-from ..core.evolution import (
-    EvolutionAggregate,
-    EvolutionWeights,
-    _appearance_sets,
+from ..core.aggregation import (
+    _edge_appearances,
+    _edge_pairs,
+    _tuple_codes,
+    _window_positions,
 )
+from ..core.evolution import EvolutionAggregate, EvolutionWeights
 from ..core.intervals import Interval
 from ..core.operators import ordered_times
 from ..core.updates import SnapshotUpdate
@@ -100,7 +102,9 @@ class EvolutionView(StreamingView):
     and folds the ones not seen before into per-tuple
     ``[stability, growth, shrinkage]`` counters: an appearance already
     in the old window moves from shrinkage to stability, any other one
-    is growth.  :meth:`current` then costs one pass over the counters.
+    is growth.  :meth:`current` then costs one pass over the counters;
+    :meth:`rebuild` reads the appearances off the aggregation engine's
+    tuple codes.
     """
 
     def __init__(
@@ -137,17 +141,30 @@ class EvolutionView(StreamingView):
             raise ValidationError("evolution view requires a non-empty old window")
         self._graph = graph
         self._old_times = old
-        old_nodes, old_edges = _appearance_sets(graph, self.attributes, old)
-        self._nodes = _EventCounters(old_nodes)
-        self._edges = _EventCounters(old_edges)
         self._new_labels = [
             t for t in graph.timeline.labels if t not in self._initial_labels
         ]
+        # One factorization over old ∪ new: the old window's distinct
+        # appearances seed the counters, and each appended point's are
+        # folded in timeline order, as ``extend`` folds them.
+        window = ordered_times(graph, old, self._new_labels)
+        positions = _window_positions(graph, window)
+        codes = _tuple_codes(graph, self.attributes, positions)
+        edge_rows, edge_cols, sources, targets = _edge_appearances(
+            graph, codes, positions
+        )
+        pair_codes, pairs = _edge_pairs(codes, sources, targets)
+        node_labels = graph.node_presence.row_labels
+        nodes = (node_labels, codes.rows, codes.cols, codes.codes, codes.tuples)
+        edge_labels = graph.edge_presence.row_labels
+        edges = (edge_labels, edge_rows, edge_cols, pair_codes, pairs)
+        in_old = np.isin(positions, _window_positions(graph, old))
+        self._nodes = _EventCounters(_appearance_set(*nodes, in_old))
+        self._edges = _EventCounters(_appearance_set(*edges, in_old))
         for label in self._new_labels:
-            point = ordered_times(graph, [label])
-            nodes, edges = _appearance_sets(graph, self.attributes, point)
-            self._nodes.fold(nodes)
-            self._edges.fold(edges)
+            point = positions == graph.timeline.index_of(label)
+            self._nodes.fold(_appearance_set(*nodes, point))
+            self._edges.fold(_appearance_set(*edges, point))
 
     def extend(self, graph: TemporalGraph, update: SnapshotUpdate) -> None:
         static = graph.static_attrs
@@ -206,6 +223,26 @@ class EvolutionView(StreamingView):
             node_weights=self._nodes.weights(),
             edge_weights=self._edges.weights(),
         )
+
+
+def _appearance_set(
+    labels: Sequence[Hashable],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    codes: np.ndarray,
+    tuples: Sequence[Any],
+    columns: np.ndarray,
+) -> set[tuple[Any, Any]]:
+    """The distinct ``(entity label, tuple)`` appearances among coded
+    ones (entity row, window column, tuple code each) whose column is
+    flagged in the boolean ``columns``."""
+    radix = max(len(tuples), 1)
+    selected = columns[cols]
+    keys = np.unique(rows[selected].astype(np.int64) * radix + codes[selected])
+    return {
+        (labels[row], tuples[code])
+        for row, code in zip(*(part.tolist() for part in np.divmod(keys, radix)))
+    }
 
 
 class _EventCounters:

@@ -14,6 +14,9 @@ slow, obviously-right twins, which the differential laws in
 * :func:`aggregate_evolution_reference` builds the Fig. 4b appearance
   sets per window and reduces them with Python set algebra.
 
+Both read appearances through ``_node_tuple_table``, the per-cell
+unpivot the production engines replaced with integer tuple codes.
+
 :func:`aggregation_engines` is the registry the ``engines-agree`` law
 iterates.
 """
@@ -27,15 +30,11 @@ from ..core import TemporalGraph, aggregate
 from ..core.aggregation import (
     AggregateGraph,
     AttributeTuple,
-    _node_tuple_table,
+    EdgeKey,
     check_no_dangling_edges,
     validated_window,
 )
-from ..core.evolution import (
-    EvolutionAggregate,
-    EvolutionWeights,
-    _appearance_sets,
-)
+from ..core.evolution import EvolutionAggregate, EvolutionWeights
 from ..core.intervals import TimeSet
 from ..core.operators import ordered_times
 from ..errors import ValidationError
@@ -61,6 +60,88 @@ class AggregationEngine(Protocol):
         distinct: bool = True,
         times: Iterable[Hashable] | None = None,
     ) -> AggregateGraph: ...
+
+
+def _node_tuple_table(
+    graph: TemporalGraph,
+    attributes: Sequence[str],
+    times: TimeSet,
+    rows: Iterable[int] | None = None,
+) -> Table:
+    """The long table of ``(node, t, attribute tuple)`` appearances.
+
+    One row per (node, time point) where the node is present, carrying the
+    node's attribute tuple at that time — the merged, unpivoted ``A'`` of
+    Algorithm 2 (before any deduplication).  The Algorithm-2 oracle, the
+    reference measures and the seed exploration count build on it.
+    ``rows`` restricts the scan to a subset of node row indices; ``None``
+    scans every node.
+    """
+    time_positions = [graph.timeline.index_of(t) for t in times]
+    static_positions = {
+        name: graph.static_attrs.col_position(name)
+        for name in attributes
+        if graph.is_static(name)
+    }
+    rows_out: list[tuple[Any, ...]] = []
+    presence = graph.node_presence.values
+    varying_values = {
+        name: graph.varying_attrs[name].values
+        for name in attributes
+        if name not in static_positions
+    }
+    static_values = graph.static_attrs.values
+    node_labels = graph.node_presence.row_labels
+    row_indices = range(len(node_labels)) if rows is None else rows
+    for row_idx in row_indices:
+        node = node_labels[row_idx]
+        static_part = {
+            name: static_values[row_idx, pos]
+            for name, pos in static_positions.items()
+        }
+        for t, t_pos in zip(times, time_positions):
+            if not presence[row_idx, t_pos]:
+                continue
+            values = tuple(
+                static_part[name]
+                if name in static_part
+                else varying_values[name][row_idx, t_pos]
+                for name in attributes
+            )
+            rows_out.append((node, t, values))
+    return Table(("id", "t", "tuple"), rows_out)
+
+
+def _appearance_sets(
+    graph: TemporalGraph,
+    attributes: Sequence[str],
+    times: TimeSet,
+) -> tuple[
+    set[tuple[Hashable, AttributeTuple]],
+    set[tuple[tuple[Hashable, Hashable], EdgeKey]],
+]:
+    """Distinct (entity, tuple) appearances over a time window, as sets.
+
+    The set-based form of Fig. 4b's unit of counting, which the
+    reference evolution engine reduces.
+    """
+    node_table = _node_tuple_table(graph, attributes, times)
+    node_appearances = {(node, values) for node, _, values in node_table.rows}
+    lookup = {(node, t): values for node, t, values in node_table.rows}
+    edge_appearances: set[tuple[tuple[Hashable, Hashable], EdgeKey]] = set()
+    time_positions = [graph.timeline.index_of(t) for t in times]
+    presence = graph.edge_presence.values
+    for row_idx, edge in enumerate(graph.edge_presence.row_labels):
+        u, v = edge  # type: ignore[misc]
+        for t, t_pos in zip(times, time_positions):
+            if not presence[row_idx, t_pos]:
+                continue
+            source = lookup.get((u, t))
+            target = lookup.get((v, t))
+            if source is None or target is None:
+                continue
+            edge_appearances.add((edge, (source, target)))  # type: ignore[arg-type]
+    return node_appearances, edge_appearances
 
 
 def aggregate_algorithm2(

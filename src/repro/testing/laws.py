@@ -24,11 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from ..core import (
+    MEASURES,
     Interval,
     TemporalGraph,
     TimeHierarchy,
     aggregate,
+    aggregate_edge_measure,
     aggregate_evolution,
+    aggregate_measure,
     coarsen,
     difference,
     intersection,
@@ -47,6 +50,7 @@ from ..materialize.streaming import AggregateTotalsView
 from ..streaming import EvolutionView, ExplorationView, StreamingStore
 from .asserts import carried_state_problem
 from .generators import graph_to_maps, random_time_sets
+from .reference_measures import measure_diff, with_random_measures
 
 __all__ = ["Law", "register_law", "law_registry", "get_laws"]
 
@@ -351,7 +355,8 @@ def _attribute_permutation(
 
 @register_law(
     "duplicate-times-invariant",
-    "duplicated/unordered time arguments normalize to the same result",
+    "duplicated/unordered time arguments normalize to the same result "
+    "(operators, aggregates and measures)",
     hostile_safe=False,
 )
 def _duplicate_times_invariant(
@@ -370,6 +375,21 @@ def _duplicate_times_invariant(
     )
     if problems:
         return f"aggregate differs for duplicated times {hostile!r}: {problems[0]}"
+    measured, score, weight = with_random_measures(graph, rng)
+    measure = sorted(MEASURES)[int(rng.integers(len(MEASURES)))]
+    for name, engine, attribute in (
+        ("aggregate_measure", aggregate_measure, score),
+        ("aggregate_edge_measure", aggregate_edge_measure, weight),
+    ):
+        problems = measure_diff(
+            engine(measured, attrs, attribute, measure, distinct, hostile),
+            engine(measured, attrs, attribute, measure, distinct, normalized),
+        )
+        if problems:
+            return (
+                f"{name} {measure} differs for duplicated times {hostile!r}: "
+                f"{problems[0]}"
+            )
     return None
 
 
@@ -704,8 +724,9 @@ def _streaming_replay_identity(
 
 @register_law(
     "streaming-evolution-delta",
-    "an EvolutionView extended one appended point at a time equals the "
-    "from-scratch evolution aggregate over the same windows",
+    "an EvolutionView extended one appended point at a time, and one "
+    "rebuilt over the appended points, equal the from-scratch evolution "
+    "aggregate over the same windows",
     hostile_safe=False,
 )
 def _streaming_evolution_delta(
@@ -731,6 +752,11 @@ def _streaming_evolution_delta(
             f"delta-maintained evolution diverges at split {split}: "
             f"{problems[0]}"
         )
+    # A rollback rebuilds over the appended points: same counters.
+    view.rebuild(store.graph)
+    problems = view.current().diff(direct)
+    if problems:
+        return f"rebuilt evolution view diverges at split {split}: {problems[0]}"
     return None
 
 

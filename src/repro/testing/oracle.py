@@ -21,9 +21,18 @@ from typing import Any
 
 import numpy as np
 
-from ..core import TemporalGraph, aggregate, aggregate_evolution, presence_signature
+from ..core import (
+    MEASURES,
+    Interval,
+    TemporalGraph,
+    aggregate,
+    aggregate_edge_measure,
+    aggregate_evolution,
+    aggregate_measure,
+    presence_signature,
+)
 from ..errors import GraphTempoError
-from ..exploration.events import EntityKind, EventType
+from ..exploration.events import EntityKind, EventCounter, EventType, event_mask_from
 from ..exploration.explore import (
     ExplorationResult,
     ExtendSide,
@@ -35,9 +44,17 @@ from ..materialize.incremental import IncrementalStore
 from ..materialize.store import MaterializedStore
 from ..obs.metrics import get_metrics
 from .algorithm2 import aggregate_evolution_reference, aggregation_engines
+from ..exploration.lattice import Semantics, Side
 from .generators import random_time_sets
 from .laws import register_law
-from .reference_explore import reference_explore
+from .reference_explore import reference_explore, seed_appearance_count
+from .reference_measures import (
+    measure_diff,
+    numeric_attributes,
+    reference_edge_measure,
+    reference_measure,
+    with_random_measures,
+)
 
 __all__ = ["DIFFERENTIAL_LAW_NAMES"]
 
@@ -50,6 +67,8 @@ DIFFERENTIAL_LAW_NAMES = (
     "exploration-variants-agree",
     "serving-cache-transparency",
     "backend-storage",
+    "measures-engines-agree",
+    "exploration-varying-counts-match-seed",
 )
 
 
@@ -517,4 +536,116 @@ def _serving_cache_transparency(
             problem = _served_matches(served, naive)
             if problem:
                 return f"{attempt} serve of {str(expr)!r} diverges: {problem}"
+    return None
+
+
+def _outcome(run: Callable[[], Any]) -> Any:
+    """A call's result, or the name of the taxonomy error it raised."""
+    try:
+        return run()
+    except GraphTempoError as exc:
+        return type(exc).__name__
+
+
+@register_law(
+    "measures-engines-agree",
+    "aggregate_measure and aggregate_edge_measure on the engine's codes "
+    "equal the per-cell reference loops bit-exactly (all reducers, DIST "
+    "and ALL, float values, missing values, dangling edges)",
+)
+def _measures_engines_agree(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    measured, score, weight = with_random_measures(graph, rng)
+    candidates = numeric_attributes(measured)
+    target = candidates[int(rng.integers(len(candidates)))]
+    attrs = [a for a in _pick_attributes(rng, measured) if a != target]
+    if rng.integers(4) == 0:
+        attrs = []
+    times = (
+        None
+        if rng.integers(2)
+        else random_time_sets(rng, graph, n=1, hostile=bool(rng.integers(2)))[0]
+    )
+    for distinct in (True, False):
+        for measure in MEASURES:
+            for name, engine, reference, attribute in (
+                ("aggregate_measure", aggregate_measure, reference_measure, target),
+                (
+                    "aggregate_edge_measure",
+                    aggregate_edge_measure,
+                    reference_edge_measure,
+                    weight,
+                ),
+            ):
+                args = (measured, attrs, attribute, measure, distinct, times)
+                ours = _outcome(lambda: engine(*args))
+                theirs = _outcome(lambda: reference(*args))
+                where = (
+                    f"{name} {measure}({attribute}) by {attrs!r} "
+                    f"distinct={distinct} times={times!r}"
+                )
+                if isinstance(ours, str) or isinstance(theirs, str):
+                    if ours != theirs:
+                        return f"{where}: engine {ours!r} vs reference {theirs!r}"
+                    continue
+                problems = measure_diff(ours, theirs)
+                if problems:
+                    return f"{where}: {problems[0]}"
+    return None
+
+
+def _random_side(rng: np.random.Generator, n_times: int) -> Side:
+    start, stop = sorted(int(i) for i in rng.integers(n_times, size=2))
+    return Side(Interval(start, stop), tuple(Semantics)[int(rng.integers(2))])
+
+
+@register_law(
+    "exploration-varying-counts-match-seed",
+    "with a time-varying attribute, EventCounter's code-based counts equal "
+    "the seed's nested-loop count for nodes and edges, keyed (including a "
+    "never-seen key) and unkeyed",
+    hostile_safe=False,
+)
+def _exploration_varying_counts_match_seed(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    varying = graph.varying_attribute_names
+    if not varying:
+        return None
+    attrs = _pick_attributes(rng, graph)
+    if not any(a in varying for a in attrs):
+        attrs.append(varying[int(rng.integers(len(varying)))])
+    n_times = len(graph.timeline)
+    for entity in EntityKind:
+        frame = (
+            graph.node_presence if entity is EntityKind.NODES else graph.edge_presence
+        )
+        presence = frame.values.astype(bool)
+
+        def qualify(side: Side) -> np.ndarray:
+            window = presence[:, side.interval.start : side.interval.stop + 1]
+            if side.semantics is Semantics.UNION:
+                return window.any(axis=1)
+            return window.all(axis=1)
+
+        never = tuple("never-seen" for _ in attrs)
+        seen = [_random_key(rng, graph, attrs, EntityKind.NODES) for _ in "st"]
+        for key in (
+            None,
+            seen[0] if entity is EntityKind.NODES else tuple(seen),
+            never if entity is EntityKind.NODES else (seen[0], never),
+        ):
+            counter = EventCounter(graph, entity=entity, attributes=attrs, key=key)
+            for _ in range(3):
+                old, new = _random_side(rng, n_times), _random_side(rng, n_times)
+                for event in EventType:
+                    mask = event_mask_from(event, qualify(old), qualify(new))
+                    got = counter.count(event, old, new)
+                    want = seed_appearance_count(counter, event, old, new, mask)
+                    if got != want:
+                        return (
+                            f"{event} {entity} attrs={attrs!r} key={key!r} "
+                            f"{old}/{new}: codes count {got} != seed {want}"
+                        )
     return None

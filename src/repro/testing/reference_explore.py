@@ -12,6 +12,12 @@ The walk records the same ``exploration.*`` counters as the kernel —
 ``runs``, ``chains``, ``chain_steps`` and ``pruned_steps`` — so the
 parity suite and the ``exploration-variants-agree`` law can diff pairs,
 counts, ``evaluations`` *and* counters bit-exactly.
+
+Both explorers count time-varying attributes through
+:class:`~repro.exploration.events.EventCounter`'s tuple codes, so they
+cannot disagree about a code.  :func:`seed_appearance_count` is the
+independent reference for those counts: the seed's nested loop over a
+``_node_tuple_table`` and the edges x window cells, with no codes at all.
 """
 
 from __future__ import annotations
@@ -29,10 +35,79 @@ from ..exploration.explore import (
     Strategy,
     table1_strategy,
 )
-from ..exploration.lattice import ExtendSide, Semantics
+from ..exploration.lattice import ExtendSide, Semantics, Side
 from ..obs.metrics import get_metrics
+from .algorithm2 import _node_tuple_table
 
-__all__ = ["reference_explore"]
+__all__ = ["reference_explore", "seed_appearance_count"]
+
+
+def seed_appearance_count(
+    counter: EventCounter,
+    event: EventType,
+    old: Side,
+    new: Side,
+    mask: Any,
+) -> int:
+    """``result(G)`` of ``counter`` for one pair, the seed's way.
+
+    Counts the distinct ``(entity, tuple)`` appearances of the entities
+    flagged in ``mask`` inside the event window (the new side for
+    growth, the old side for shrinkage, both for stability), keeping
+    only those equal to ``counter.key`` when one is set.
+    """
+    labels = counter.graph.timeline.labels
+    if event is EventType.GROWTH:
+        window = [labels[i] for i in new.interval.indices()]
+    elif event is EventType.SHRINKAGE:
+        window = [labels[i] for i in old.interval.indices()]
+    else:
+        window = [
+            labels[i]
+            for i in sorted(
+                set(old.interval.indices()) | set(new.interval.indices())
+            )
+        ]
+    node_table = _node_tuple_table(
+        counter.graph, counter.attributes, tuple(window)
+    )
+    if counter.entity is EntityKind.NODES:
+        kept = {
+            node
+            for node, keep in zip(
+                counter.graph.node_presence.row_labels, mask
+            )
+            if keep
+        }
+        appearances = {
+            (node, values)
+            for node, _, values in node_table.rows
+            if node in kept
+        }
+        if counter.key is None:
+            return len(appearances)
+        wanted = tuple(counter.key)
+        return sum(1 for _, values in appearances if values == wanted)
+    lookup = {(node, t): values for node, t, values in node_table.rows}
+    positions = [counter.graph.timeline.index_of(t) for t in window]
+    presence = counter.graph.edge_presence.values
+    edge_appearances = set()
+    for row, edge in enumerate(counter.graph.edge_presence.row_labels):
+        if not mask[row]:
+            continue
+        u, v = edge
+        for t, pos in zip(window, positions):
+            if not presence[row, pos]:
+                continue
+            source = lookup.get((u, t))
+            target = lookup.get((v, t))
+            if source is None or target is None:
+                continue
+            edge_appearances.add((edge, (source, target)))
+    if counter.key is None:
+        return len(edge_appearances)
+    wanted_pair = (tuple(counter.key[0]), tuple(counter.key[1]))
+    return sum(1 for _, pair in edge_appearances if pair == wanted_pair)
 
 
 def _record_pruning(

@@ -146,6 +146,15 @@ class TestEdgeMeasure:
         assert result.edge(("m",), ("m",)) is None
         assert result.edge(("f",), ("f",)) == 5
 
+    def test_repeated_time_points_count_once(self, weighted_graph):
+        result = aggregate_edge_measure(
+            weighted_graph, ["gender"], "papers", measure="sum",
+            distinct=False, times=["t1", "t0", "t1"],
+        )
+        # Same as the whole timeline: (a,b) active at t0 and t1 -> 3 + 3.
+        assert result.edge(("m",), ("f",)) == 6
+        assert result.edge(("f",), ("f",)) == 6
+
     def test_avg_and_max(self, weighted_graph):
         avg = aggregate_edge_measure(
             weighted_graph, ["gender"], "papers", measure="avg"

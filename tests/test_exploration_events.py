@@ -3,12 +3,16 @@
 import pytest
 
 from repro.core import Interval
+from repro.errors import ExplorationError
 from repro.exploration import (
     EntityKind,
     EventCounter,
     EventType,
+    ExtendSide,
+    Goal,
     Semantics,
     Side,
+    explore,
 )
 
 
@@ -85,6 +89,59 @@ class TestStaticKeyCounting:
         old, new = Side.point(0), Side.point(1)
         # Without a key the count is the raw entity count.
         assert counter.count(EventType.SHRINKAGE, old, new) == 2
+
+
+class TestMalformedKeys:
+    """A key that is not a (source tuple, target tuple) pair for edges,
+    or not a tuple for nodes, raises ExplorationError on the static and
+    the time-varying path alike — never a bare unpacking error."""
+
+    @pytest.mark.parametrize("attributes", [["gender"], ["publications"]])
+    @pytest.mark.parametrize("key", [("f",), (("f",),), (("f",), ("f",), ("f",)), 5])
+    def test_edge_key_through_counter(self, paper_graph, attributes, key):
+        with pytest.raises(ExplorationError, match="source tuple, target tuple"):
+            EventCounter(
+                paper_graph, EntityKind.EDGES, attributes, key=key
+            )
+
+    @pytest.mark.parametrize("attributes", [["gender"], ["publications"]])
+    def test_edge_key_through_explore(self, paper_graph, attributes):
+        with pytest.raises(ExplorationError, match="source tuple, target tuple"):
+            explore(
+                paper_graph,
+                EventType.STABILITY,
+                Goal.MAXIMAL,
+                ExtendSide.NEW,
+                1,
+                entity=EntityKind.EDGES,
+                attributes=attributes,
+                key=("f",),
+            )
+
+    @pytest.mark.parametrize("attributes", [["gender"], ["publications"]])
+    def test_node_key_through_counter_and_explore(self, paper_graph, attributes):
+        with pytest.raises(ExplorationError, match="attribute tuple"):
+            EventCounter(paper_graph, EntityKind.NODES, attributes, key=5)
+        with pytest.raises(ExplorationError, match="attribute tuple"):
+            explore(
+                paper_graph,
+                EventType.GROWTH,
+                Goal.MINIMAL,
+                ExtendSide.NEW,
+                1,
+                entity=EntityKind.NODES,
+                attributes=attributes,
+                key=5,
+            )
+
+    @pytest.mark.parametrize("attributes", [["gender"], ["publications"]])
+    def test_well_formed_key_of_wrong_length_matches_nothing(
+        self, paper_graph, attributes
+    ):
+        counter = EventCounter(
+            paper_graph, EntityKind.EDGES, attributes, key=(("f", 1), ("f",))
+        )
+        assert counter.count(EventType.STABILITY, Side.point(0), Side.point(1)) == 0
 
 
 class TestVaryingAttributeCounting:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import Interval
-from repro.core.aggregation import _node_tuple_table
 from repro.exploration import (
     ChainEvaluator,
     EntityKind,
@@ -32,6 +31,7 @@ from repro.exploration import (
     explore,
 )
 from repro.testing import reference_explore
+from repro.testing.reference_explore import seed_appearance_count
 
 TABLE1_CASES = list(itertools.product(EventType, Goal, ExtendSide))
 
@@ -171,63 +171,8 @@ class TestChainStepMasks:
 
 
 class TestVectorizedAppearanceParity:
-    """The tuple-code counting path vs. a reimplementation of the seed's
-    nested-loop ``_count_appearances`` (kept verbatim as reference)."""
-
-    @staticmethod
-    def _seed_count(counter, event, old, new, mask):
-        labels = counter.graph.timeline.labels
-        if event is EventType.GROWTH:
-            window = [labels[i] for i in new.interval.indices()]
-        elif event is EventType.SHRINKAGE:
-            window = [labels[i] for i in old.interval.indices()]
-        else:
-            window = [
-                labels[i]
-                for i in sorted(
-                    set(old.interval.indices()) | set(new.interval.indices())
-                )
-            ]
-        node_table = _node_tuple_table(
-            counter.graph, counter.attributes, tuple(window)
-        )
-        if counter.entity is EntityKind.NODES:
-            kept = {
-                node
-                for node, keep in zip(
-                    counter.graph.node_presence.row_labels, mask
-                )
-                if keep
-            }
-            appearances = {
-                (node, values)
-                for node, _, values in node_table.rows
-                if node in kept
-            }
-            if counter.key is None:
-                return len(appearances)
-            wanted = tuple(counter.key)
-            return sum(1 for _, values in appearances if values == wanted)
-        lookup = {(node, t): values for node, t, values in node_table.rows}
-        positions = [counter.graph.timeline.index_of(t) for t in window]
-        presence = counter.graph.edge_presence.values
-        appearances = set()
-        for row, edge in enumerate(counter.graph.edge_presence.row_labels):
-            if not mask[row]:
-                continue
-            u, v = edge
-            for t, pos in zip(window, positions):
-                if not presence[row, pos]:
-                    continue
-                source = lookup.get((u, t))
-                target = lookup.get((v, t))
-                if source is None or target is None:
-                    continue
-                appearances.add((edge, (source, target)))
-        if counter.key is None:
-            return len(appearances)
-        wanted = (tuple(counter.key[0]), tuple(counter.key[1]))
-        return sum(1 for _, pair in appearances if pair == wanted)
+    """The tuple-code counting path vs. the seed's nested-loop count
+    (:func:`repro.testing.reference_explore.seed_appearance_count`)."""
 
     @pytest.mark.parametrize(
         "entity,attributes,key",
@@ -250,7 +195,7 @@ class TestVectorizedAppearanceParity:
                 new = Side(Interval(c, d - 1), semantics)
                 for event in EventType:
                     mask = counter.event_mask(event, old, new)
-                    assert counter.count(event, old, new) == self._seed_count(
+                    assert counter.count(event, old, new) == seed_appearance_count(
                         counter, event, old, new, mask
                     )
 
@@ -271,7 +216,7 @@ class TestVectorizedAppearanceParity:
             for old, new in pairs:
                 for event in EventType:
                     mask = counter.event_mask(event, old, new)
-                    assert counter.count(event, old, new) == self._seed_count(
+                    assert counter.count(event, old, new) == seed_appearance_count(
                         counter, event, old, new, mask
                     )
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import aggregate_measure
+from repro.core import MEASURES, aggregate_measure
+from repro.testing.reference_measures import measure_diff, reference_measure
 
 
 class TestNodeMeasures:
@@ -101,3 +102,36 @@ class TestValidation:
             paper_graph, ["gender"], "publications", measure="max"
         )
         assert mg.node(("m",)) == 3  # u1@t0 or u5@t2
+
+
+class TestWindowNormalization:
+    @pytest.mark.parametrize("distinct", [True, False])
+    def test_repeated_time_point_counts_once(self, paper_graph, distinct):
+        mg = aggregate_measure(
+            paper_graph, ["gender"], "publications", measure="sum",
+            distinct=distinct, times=["t0", "t0"],
+        )
+        assert mg.node_values == {("m",): 3, ("f",): 4}
+
+    def test_unordered_window_equals_ordered(self, paper_graph):
+        shuffled = aggregate_measure(
+            paper_graph, ["gender"], "publications", measure="avg",
+            distinct=False, times=["t2", "t0", "t1", "t0"],
+        )
+        ordered = aggregate_measure(
+            paper_graph, ["gender"], "publications", measure="avg",
+            distinct=False, times=["t0", "t1", "t2"],
+        )
+        assert measure_diff(shuffled, ordered) == ()
+
+
+class TestMatchesReference:
+    """The code-based engine equals the per-cell reference loops bit for
+    bit, group order included."""
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    @pytest.mark.parametrize("distinct", [True, False])
+    @pytest.mark.parametrize("attributes", [["gender"], [], ["gender", "gender"]])
+    def test_dblp(self, small_dblp, measure, distinct, attributes):
+        args = (small_dblp, attributes, "publications", measure, distinct)
+        assert measure_diff(aggregate_measure(*args), reference_measure(*args)) == ()

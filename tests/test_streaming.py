@@ -30,7 +30,7 @@ from repro.streaming import (
     StreamingView,
     batch_events,
 )
-from repro.testing import assert_same_graph
+from repro.testing import aggregate_evolution_reference, assert_same_graph
 
 
 def make_update(time="t3"):
@@ -217,6 +217,27 @@ class TestEvolutionView:
             store.graph, ["t0", "t1", "t2"], ["t3", "t4"], ["gender"]
         )
         assert view.current().diff(direct) == ()
+
+    def test_rebuild_over_appended_points_equals_extend(self, paper_graph):
+        # A rollback rebuilds the view over a graph that already holds
+        # appended points: the code-based rebuild must land on exactly
+        # the counters the per-append folds produced.
+        view = EvolutionView(["gender", "publications"])
+        store = StreamingStore(paper_graph, views=[view])
+        store.append_snapshot(make_update("t3"))
+        store.append_snapshot(
+            SnapshotUpdate(time="t4", nodes={"u9": {"publications": 5}})
+        )
+        extended = view.current()
+        view.rebuild(store.graph)
+        rebuilt = view.current()
+        assert rebuilt.diff(extended) == ()
+        assert rebuilt.diff(
+            aggregate_evolution_reference(
+                store.graph, ["t0", "t1", "t2"], ["t3", "t4"],
+                ["gender", "publications"],
+            )
+        ) == ()
 
     def test_windows_exposed(self, paper_graph):
         view = EvolutionView(["gender"], old_times=["t1", "t2"])
