@@ -2,9 +2,9 @@
 
 * **Monotonicity pruning** (Section 3.2): the pruned U-/I-Explore vs.
   the exhaustive oracle over the same candidate space.
-* **Materialization granularity** (Section 4.3): deriving a union(ALL)
-  aggregate from per-point aggregates vs. recomputing, at two interval
-  lengths (the crossover the partial-materialization argument rests on).
+* **Materialization granularity** (Section 4.3): the cube's ``time_sum``
+  derivation of a union(ALL) aggregate from per-point cuboids vs.
+  recomputing, at two interval lengths (the crossover the partial-materialization argument rests on).
 * **Vectorized engine**: the production ``aggregate`` vs. the literal
   Algorithm 2 transcription, which lives in ``repro.testing`` as the
   engine's differential oracle.
@@ -20,7 +20,7 @@ from repro.exploration import (
     exhaustive_explore,
     explore,
 )
-from repro.materialize import MaterializedStore
+from repro.olap import TemporalGraphCube
 from repro.testing import aggregate_algorithm2
 
 
@@ -62,9 +62,11 @@ class TestMaterializationGranularity:
                 lambda: aggregate(union(dblp, span), ["gender"], distinct=False)
             )
         else:
-            store = MaterializedStore(dblp)
-            store.precompute(["gender"], distinct=False, times=span)
-            benchmark(store.union_aggregate, ["gender"], span)
+            cube = TemporalGraphCube(dblp)
+            cube.materialize(["gender"], times=span, per_time_point=True)
+            route = cube.plan_routes(["gender"], times=span, distinct=False)[0]
+            assert route.kind == "time_sum"
+            benchmark(cube._derive, route)
 
 
 class TestVectorizedEngineAblation:

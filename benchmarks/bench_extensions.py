@@ -18,8 +18,8 @@ from repro.exploration import (
     explore,
     explore_groups,
 )
-from repro.materialize import IncrementalStore
 from repro.olap import TemporalGraphCube
+from repro.streaming import AggregateTotalsView, StreamingStore
 
 
 class TestCubeRoutes:
@@ -125,11 +125,12 @@ class TestIncrementalMaintenance:
         )
 
         def setup():
-            return (IncrementalStore(base, [("gender",)]),), {}
+            totals = AggregateTotalsView([("gender",)])
+            return (StreamingStore(base, views=[totals]), totals), {}
 
-        def run(store):
-            store.append(update)
-            return store.union_total(["gender"])
+        def run(store, totals):
+            store.append_snapshot(update)
+            return totals.union_total(["gender"])
 
         benchmark.pedantic(run, setup=setup, rounds=10)
 

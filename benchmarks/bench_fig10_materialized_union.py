@@ -2,26 +2,28 @@
 per-time-point materialization.
 
 Two benchmark rows per (dataset, attribute, interval length): the
-from-scratch union aggregation and the derivation from a warm
-MaterializedStore.  The speedup the paper plots (8x-78x on DBLP) is the
-ratio of the two rows; a correctness assertion checks the derived
-weights equal the from-scratch ones on every run.
+from-scratch union aggregation and the derivation the cube's planned
+``time_sum`` route runs over a warm per-point
+:class:`~repro.olap.TemporalGraphCube`.  The speedup the paper plots
+(8x-78x on DBLP) is the ratio of the two rows; a correctness assertion
+checks the derived aggregate equals the from-scratch one on every run.
 """
 
 import pytest
 
 from repro.core import aggregate, union
-from repro.materialize import MaterializedStore
+from repro.olap import TemporalGraphCube
+from repro.testing import assert_same_aggregate
 
 DBLP_LENGTHS = [5, 11, 21]
 
 
 @pytest.fixture(scope="module")
-def warm_store(dblp):
-    store = MaterializedStore(dblp)
-    store.precompute(["gender"], distinct=False)
-    store.precompute(["publications"], distinct=False)
-    return store
+def warm_cube(dblp):
+    cube = TemporalGraphCube(dblp)
+    cube.materialize(["gender"], distinct=False, per_time_point=True)
+    cube.materialize(["publications"], distinct=False, per_time_point=True)
+    return cube
 
 
 @pytest.mark.parametrize("attr", ["gender", "publications"])
@@ -37,9 +39,10 @@ def test_fig10_scratch(benchmark, dblp, attr, length):
 
 @pytest.mark.parametrize("attr", ["gender", "publications"])
 @pytest.mark.parametrize("length", DBLP_LENGTHS)
-def test_fig10_materialized(benchmark, dblp, warm_store, attr, length):
+def test_fig10_materialized(benchmark, dblp, warm_cube, attr, length):
     span = dblp.timeline.labels[:length]
-    derived = benchmark(warm_store.union_aggregate, [attr], span)
+    route = warm_cube.plan_routes([attr], times=span, distinct=False)[0]
+    assert route.kind == "time_sum"
+    derived = benchmark(warm_cube._derive, route)
     direct = aggregate(union(dblp, span), [attr], distinct=False)
-    assert dict(derived.node_weights) == dict(direct.node_weights)
-    assert dict(derived.edge_weights) == dict(direct.edge_weights)
+    assert_same_aggregate(derived, direct)

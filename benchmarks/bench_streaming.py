@@ -5,7 +5,7 @@ and measures, per appended time point, keeping three kinds of derived
 state current:
 
 * **totals** — the union-window ALL aggregate
-  (:class:`~repro.materialize.AggregateTotalsView`) vs. re-aggregating
+  (:class:`~repro.streaming.AggregateTotalsView`) vs. re-aggregating
   the whole grown window after every append;
 * **evolution** — the evolution overlay between the seed window and the
   appended tail (:class:`~repro.streaming.EvolutionView`) vs. a
@@ -70,8 +70,12 @@ from repro.exploration import (
     suggest_threshold,
 )
 from repro.frames import LabeledFrame
-from repro.materialize.streaming import AggregateTotalsView
-from repro.streaming import EvolutionView, ExplorationView, StreamingStore
+from repro.streaming import (
+    AggregateTotalsView,
+    EvolutionView,
+    ExplorationView,
+    StreamingStore,
+)
 
 #: Minimum delta-over-recompute speedup for every maintained view on the
 #: full-size run.  DBLP's timeline is only 21 points, so the window-size

@@ -1,11 +1,12 @@
 """Streaming maintenance: a collaboration graph that grows year by year.
 
 Simulates the production setting the materialization story targets: the
-DBLP-like graph arrives one year at a time, an
-:class:`~repro.materialize.IncrementalStore` keeps per-year aggregates
-and running union totals current in O(new year), and each tick the
-group explorer re-checks which collaboration groups crossed an alert
-threshold.
+DBLP-like graph arrives one year at a time, a
+:class:`~repro.streaming.StreamingStore` with an
+:class:`~repro.streaming.AggregateTotalsView` registered keeps per-year
+aggregates and running union totals current in O(new year), and each
+tick the group explorer re-checks which collaboration groups crossed an
+alert threshold.
 
 Run with ``python examples/streaming_updates.py``.
 """
@@ -13,7 +14,7 @@ Run with ``python examples/streaming_updates.py``.
 from repro.core import SnapshotUpdate, aggregate, union
 from repro.datasets import generate_dblp
 from repro.exploration import EventType, ExtendSide, Goal, explore_groups
-from repro.materialize import IncrementalStore
+from repro.streaming import AggregateTotalsView, StreamingStore
 
 
 def snapshot_from_year(graph, year) -> SnapshotUpdate:
@@ -39,11 +40,12 @@ def main() -> None:
 
     print(f"warm-up on {warmup[0]}..{warmup[-1]}, then stream {len(live)} years")
     base = union(history, warmup)  # the graph as known after the warm-up
-    store = IncrementalStore(base, [("gender",)])
+    view = AggregateTotalsView([("gender",)])
+    store = StreamingStore(base, views=[view])
 
     for year in live:
-        store.append(snapshot_from_year(history, year))
-        totals = store.union_total(["gender"])
+        store.append_snapshot(snapshot_from_year(history, year))
+        totals = view.union_total(["gender"])
         direct = aggregate(
             union(store.graph, store.graph.timeline.labels),
             ["gender"],

@@ -2,8 +2,8 @@
 
 A from-scratch reproduction of the EDBT 2023 paper by Tsoukanara,
 Koloniari and Pitoura.  The public API re-exports the model layer
-(:mod:`repro.core`), exploration (:mod:`repro.exploration`), partial
-materialization (:mod:`repro.materialize`) and datasets
+(:mod:`repro.core`), exploration (:mod:`repro.exploration`), the
+partially materialized cube (:mod:`repro.olap`) and datasets
 (:mod:`repro.datasets`).
 """
 

@@ -20,7 +20,7 @@ from typing import Any
 
 from ..core import TemporalGraph, aggregate, difference, project, union
 from ..errors import ConfigurationError
-from ..materialize import MaterializedStore
+from ..olap.cube import ROUTE_ROLLUP, ROUTE_TIME_SUM, CubeRoute, TemporalGraphCube
 from ..parallel import get_executor
 from .timing import measure
 
@@ -58,6 +58,24 @@ def _series_label(attributes: Sequence[str], distinct: bool | None = None) -> st
     if distinct is None:
         return label
     return f"{label} ({'DIST' if distinct else 'ALL'})"
+
+
+def _planned_derivation(
+    cube: TemporalGraphCube,
+    kind: str,
+    attributes: Sequence[str],
+    times: Sequence[Hashable],
+    distinct: bool,
+) -> CubeRoute:
+    """The route the warm cube plans for a query, which must be the
+    ``kind`` derivation a Figure 10/11 sweep times (its cost never
+    exceeds base evaluation's, and ties break toward derivations)."""
+    route = cube.plan_routes(attributes, times=times, distinct=distinct)[0]
+    if route.kind != kind:
+        raise ConfigurationError(
+            f"expected a {kind} derivation, the cube planned {route.describe()}"
+        )
+    return route
 
 
 def fig5_timepoint_aggregation(
@@ -262,8 +280,8 @@ def fig10_materialized_union_speedup(
     """Figure 10: speedup of the T-distributive union(ALL) derivation.
 
     For each anchored span, from-scratch time (union operator + ALL
-    aggregation) divided by the time to sum precomputed per-point
-    aggregates from a warm :class:`MaterializedStore`.
+    aggregation) divided by the time the cube's ``time_sum`` route takes
+    to sum the per-point cuboids of a warm :class:`TemporalGraphCube`.
     """
     spans = _interval_spans(graph)[1:]  # speedup needs length >= 2
     result = ExperimentSeries(
@@ -273,17 +291,18 @@ def fig10_materialized_union_speedup(
         value_name="speedup (x)",
     )
     for attributes in attribute_sets:
-        store = MaterializedStore(graph)
-        store.precompute(attributes, distinct=False)
+        cube = TemporalGraphCube(graph)
+        cube.materialize(attributes, distinct=False, per_time_point=True)
         label = _series_label(attributes)
         for span in spans:
+            route = _planned_derivation(
+                cube, ROUTE_TIME_SUM, attributes, span, distinct=False
+            )
             scratch = measure(
                 lambda: aggregate(union(graph, span), attributes, distinct=False),
                 repeats=repeats,
             )
-            derived = measure(
-                lambda: store.union_aggregate(attributes, span), repeats=repeats
-            )
+            derived = measure(lambda: cube._derive(route), repeats=repeats)
             result.series.setdefault(label, []).append(
                 scratch.best / derived.best if derived.best > 0 else float("inf")
             )
@@ -357,28 +376,27 @@ def fig11_attribute_rollup_speedup(
     distinct: bool = True,
 ) -> ExperimentSeries:
     """Figure 11: speedup of D-distributive attribute roll-up per time
-    point — deriving each subset aggregate from the materialized
-    superset aggregate vs. computing it from scratch."""
+    point — the cube's ``rollup`` route deriving each subset cuboid from
+    the materialized superset cuboid vs. computing it from scratch."""
     result = ExperimentSeries(
         "fig11: attribute roll-up speedup",
         "time point",
         list(graph.timeline.labels),
         value_name="speedup (x)",
     )
-    store = MaterializedStore(graph)
-    for time in graph.timeline.labels:
-        store.timepoint_aggregate(superset, time, distinct=distinct)
+    cube = TemporalGraphCube(graph)
+    cube.materialize(superset, distinct=distinct, per_time_point=True)
     for subset in subsets:
         label = f"{_series_label(subset)} from {_series_label(superset)}"
         for time in graph.timeline.labels:
+            route = _planned_derivation(
+                cube, ROUTE_ROLLUP, subset, [time], distinct=distinct
+            )
             scratch = measure(
                 lambda: aggregate(graph, subset, distinct=distinct, times=[time]),
                 repeats=repeats,
             )
-            derived = measure(
-                lambda: store.rollup_aggregate(superset, subset, time, distinct=distinct),
-                repeats=repeats,
-            )
+            derived = measure(lambda: cube._derive(route), repeats=repeats)
             result.series.setdefault(label, []).append(
                 scratch.best / derived.best if derived.best > 0 else float("inf")
             )

@@ -321,8 +321,7 @@ def _run_stream(args: argparse.Namespace) -> None:
     import time
 
     from .core.updates import split_history
-    from .materialize.streaming import AggregateTotalsView
-    from .streaming import EvolutionView, StreamingStore
+    from .streaming import AggregateTotalsView, EvolutionView, StreamingStore
     from .testing import graph_to_maps
 
     graph = _load(args.dataset, args.scale)

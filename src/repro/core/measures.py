@@ -21,6 +21,7 @@ AVG agree bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -87,6 +88,17 @@ class MeasureGraph:
             f"{self.attributes!r}: {len(self.node_values)} nodes, "
             f"{len(self.edge_values)} edges)"
         )
+
+
+def _require_numeric(values: Iterable[Any], attribute: str) -> None:
+    """Raise :class:`~repro.errors.AggregationError` naming ``attribute``
+    when a value about to be reduced is not a real number."""
+    for value in values:
+        if value is not None and not isinstance(value, numbers.Real):
+            raise AggregationError(
+                f"measure attribute {attribute!r} is not numeric: "
+                f"{value!r} ({type(value).__name__})"
+            )
 
 
 def _first_occurrences(*keys: np.ndarray) -> np.ndarray:
@@ -173,6 +185,7 @@ def aggregate_measure(
     codes = _tuple_codes(graph, attributes, positions)
     cells = _appearance_values(graph, measure_attribute, codes, positions)
     value_codes, pool = _factorize(cells)
+    _require_numeric(pool, measure_attribute)
     valued = np.array([value is not None for value in pool], dtype=bool)
     valued = valued[value_codes]
 
@@ -246,6 +259,7 @@ def aggregate_edge_measure(
     keep = valued[edge_rows]
     pair_codes, pairs = _edge_pairs(codes, sources[keep], targets[keep])
     edge_rows = edge_rows[keep]
+    _require_numeric(column[edge_rows], edge_attribute)
     if distinct:
         # An edge's value is static, so (edge, pair) is the whole key.
         first = _first_occurrences(edge_rows, pair_codes)

@@ -5,9 +5,9 @@ whole graph per tick would defeat the paper's materialization story.
 :func:`append_snapshot` extends a :class:`TemporalGraph` with one new
 time point — new nodes, returning nodes, their time-varying values, and
 the snapshot's edges — producing a new graph value (inputs are never
-mutated).  :class:`repro.materialize.IncrementalStore` builds on this to
-keep per-point aggregates and running union totals current as the graph
-grows.
+mutated).  :class:`repro.streaming.StreamingStore` builds on this to
+publish versions and keep registered views (such as per-point aggregates
+and running union totals) current as the graph grows.
 """
 
 from __future__ import annotations
@@ -274,10 +274,10 @@ def split_history(
 ) -> tuple[TemporalGraph, list[SnapshotUpdate]]:
     """Decompose a graph into its first point plus per-point updates.
 
-    Replaying the updates through :func:`append_snapshot` (or feeding
-    them to :meth:`repro.materialize.IncrementalStore.append`) rebuilds a
-    graph observably equal to the input — the replay identity the
-    differential fuzz oracle checks for the incremental store.
+    Replaying the updates through :func:`append_snapshot` (or
+    :meth:`repro.streaming.StreamingStore.from_history`) rebuilds a graph
+    observably equal to the input — the replay identity the differential
+    fuzz laws check for the streaming store.
     """
     labels = graph.timeline.labels
     first = labels[0]

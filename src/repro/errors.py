@@ -20,7 +20,7 @@ The taxonomy mirrors the paper's structure:
 * :class:`DatasetError` — loaders and generators for the paper's
   datasets (Table 3) received broken inputs;
 * :class:`MaterializationError` / :class:`ConfigurationError` — the
-  materialization store and user-facing configuration surfaces;
+  streaming store and its views, and user-facing configuration surfaces;
 * :class:`StorageError` — the pluggable storage substrate
   (:mod:`repro.storage`) was misused: unknown backend name, corrupt
   persisted layout, or a write into a read-only mapping;
@@ -118,7 +118,7 @@ class DatasetError(ValidationError):
 
 
 class MaterializationError(ValidationError):
-    """The materialization store was used inconsistently."""
+    """A streaming store or a materialized view was used inconsistently."""
 
 
 class ConfigurationError(ValidationError):

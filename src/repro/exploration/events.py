@@ -133,19 +133,20 @@ def static_match_mask(
 def _key_tuples(entity: EntityKind, key: Any) -> tuple[tuple[Any, ...], ...]:
     """The node tuples a key names: ``(key,)`` for a node key, ``(source,
     target)`` for an edge key.  A malformed key raises
-    :class:`~repro.errors.ExplorationError`."""
+    :class:`~repro.errors.ExplorationError` — including a ``str`` or
+    ``bytes`` where a tuple is wanted, which ``tuple()`` would otherwise
+    split into characters that match nothing."""
+    nodes = entity is EntityKind.NODES
     try:
-        if entity is EntityKind.NODES:
-            return (tuple(key),)
-        source, target = key
-        return (tuple(source), tuple(target))
-    except (TypeError, ValueError):
-        shape = (
-            "an attribute tuple"
-            if entity is EntityKind.NODES
-            else "a (source tuple, target tuple) pair"
-        )
-        raise ExplorationError(f"{entity} key {key!r} is not {shape}") from None
+        parts = (key,) if nodes else tuple(key)
+        if len(parts) == (1 if nodes else 2) and not any(
+            isinstance(part, (str, bytes)) for part in parts
+        ):
+            return tuple(tuple(part) for part in parts)
+    except TypeError:
+        pass
+    shape = "an attribute tuple" if nodes else "a (source tuple, target tuple) pair"
+    raise ExplorationError(f"{entity} key {key!r} is not {shape}")
 
 
 def _code_of(values: Sequence[Any], value: Any) -> int:

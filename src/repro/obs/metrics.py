@@ -1,10 +1,8 @@
 """The metrics registry: counters, gauges and timing histograms.
 
 One process-wide :class:`MetricsRegistry` (swappable for tests via
-:func:`set_metrics`) absorbs the ad-hoc counting that used to live in
-``MaterializedStore.StoreStats`` and extends it across the pipeline:
-cache hits/derivations in :mod:`repro.materialize`, rows scanned in
-:class:`repro.frames.Table`, Algorithm 1/2 step counts in
+:func:`set_metrics`) collects the counting across the pipeline: rows
+scanned in :class:`repro.frames.Table`, Algorithm 1/2 step counts in
 :mod:`repro.core`, and chain evaluations / pruning counts in
 :mod:`repro.exploration`.
 

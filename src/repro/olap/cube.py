@@ -20,8 +20,9 @@ derivations, entity-rows x window size for base evaluation) and
 layer (:mod:`repro.serving`) plans through the same API, so the cube and
 the query planner can never disagree about what a route costs.
 
-``CubeStats`` records which route served each query, so the Figure
-10/11 benchmarks and the view-selection policy can observe reuse.
+``CubeStats`` records which route served each query, so tests and the
+view-selection policy can observe reuse.  The Figure 10/11 benchmarks
+time the derivation step the ``rollup`` and ``time_sum`` routes run.
 
 Cache keys normalize windows to timeline order (a window has union
 semantics, so ``(t2, t1)`` and ``(t1, t2)`` are the same query), and
@@ -46,7 +47,7 @@ from ..core.granularity import TimeHierarchy
 from ..obs.metrics import get_metrics
 from .lattice import Cuboid, canonical
 from .operations import dice_aggregate, slice_aggregate
-from ..errors import UnknownLabelError, ValidationError
+from ..errors import TemporalError, UnknownLabelError, ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..streaming import GraphVersion, StreamingStore
@@ -158,7 +159,7 @@ class TemporalGraphCube:
         self._cache: dict[CacheKey, AggregateGraph] = {}
         #: Keys the user deliberately materialized, as opposed to results
         #: the query routes cached incidentally — the distinction the
-        #: view-selection policy and Figure 10/11 stats report on.
+        #: view-selection policy reports on.
         self._materialized: set[CacheKey] = set()
         self._unbind: Callable[[], None] | None = None
 
@@ -174,7 +175,9 @@ class TemporalGraphCube:
 
         Normalization is what makes cache keys caller-order-insensitive:
         ``times=(t2, t1)`` and ``(t1, t2)`` describe the same
-        union-semantics window and must map to the same key.
+        union-semantics window and must map to the same key.  An empty
+        window (``times=[]``, or a unit with no member in the timeline)
+        raises :class:`~repro.errors.TemporalError`, as ``union`` does.
         """
         if times is None:
             return self.graph.timeline.labels
@@ -190,7 +193,10 @@ class TemporalGraphCube:
                 )
             else:
                 raise UnknownLabelError(f"unknown time point or unit: {label!r}")
-        return tuple(t for t in self.graph.timeline.labels if t in resolved)
+        window = tuple(t for t in self.graph.timeline.labels if t in resolved)
+        if not window:
+            raise TemporalError("a cuboid needs at least one time point in its window")
+        return window
 
     # ------------------------------------------------------------------
     # Materialization
@@ -343,7 +349,7 @@ class TemporalGraphCube:
                 )
                 routes.append(CubeRoute(ROUTE_TIME_SUM, key, cost))
         base_cost = float(
-            (self.graph.n_nodes + self.graph.n_edges) * max(len(window), 1)
+            (self.graph.n_nodes + self.graph.n_edges) * len(window)
         )
         routes.append(CubeRoute(ROUTE_BASE, key, base_cost))
         routes.sort(key=lambda r: r.rank)
@@ -358,43 +364,53 @@ class TemporalGraphCube:
         as an exact hit instead of redoing the work.
         """
         key = route.key
-        cuboid, window, distinct = key
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self.stats.exact_hits += 1
                 return cached
-        if route.kind == ROUTE_ROLLUP and route.source is not None:
-            source_key = (route.source, window, distinct)
+        derived = self._derive(route)
+        if derived is not None:
             with self._lock:
-                source = self._cache.get(source_key)
-            if source is not None:
-                result = source.rollup(cuboid)
-                with self._lock:
-                    result = self._cache.setdefault(key, result)
+                derived = self._cache.setdefault(key, derived)
+                if route.kind == ROUTE_ROLLUP:
                     self.stats.attribute_rollups += 1
-                return result
-            # The superset vanished (invalidation race): fall through.
-        if route.kind == ROUTE_TIME_SUM:
-            points = [(cuboid, (t,), False) for t in window]
-            with self._lock:
-                parts = [self._cache.get(p) for p in points]
-            if all(part is not None for part in parts):
-                total: AggregateGraph | None = None
-                for part in parts:
-                    assert part is not None
-                    total = part if total is None else total.combine(part)
-                assert total is not None
-                with self._lock:
-                    total = self._cache.setdefault(key, total)
+                else:
                     self.stats.time_rollups += 1
-                return total
+            return derived
         # Base evaluation (also the fallback when a derivation's inputs
         # disappeared between planning and execution).
         result = self._compute_and_cache(key)
         with self._lock:
             self.stats.base_computations += 1
         return result
+
+    def _derive(self, route: CubeRoute) -> AggregateGraph | None:
+        """The derivation a roll-up or time-sum route runs over cached
+        cuboids: the D-distributive roll-up of the cached superset, or
+        the T-distributive pointwise sum of the cached per-point cuboids.
+
+        Neither caches nor counts (:meth:`execute_route` does both), so
+        the Figure 10/11 drivers time exactly this step.  ``None`` for
+        the exact and base routes, and when a derivation's inputs were
+        invalidated since planning.
+        """
+        cuboid, window, distinct = route.key
+        if route.kind == ROUTE_ROLLUP and route.source is not None:
+            with self._lock:
+                source = self._cache.get((route.source, window, distinct))
+            return None if source is None else source.rollup(cuboid)
+        if route.kind == ROUTE_TIME_SUM:
+            with self._lock:
+                parts = [self._cache.get((cuboid, (t,), False)) for t in window]
+            present = [part for part in parts if part is not None]
+            if len(present) != len(parts):
+                return None
+            total = present[0]
+            for part in present[1:]:
+                total = total.combine(part)
+            return total
+        return None
 
     # ------------------------------------------------------------------
     # Querying

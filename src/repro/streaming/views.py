@@ -4,9 +4,12 @@ A :class:`StreamingView` is state derived from the store's graph that is
 kept current *incrementally*: each snapshot append hands the view the
 new graph plus the update that produced it, and the view folds in the
 new time point in O(new point) instead of recomputing from scratch.
-Two maintenance strategies the base :class:`IncrementalStore` does not
-cover live here:
+Three maintenance strategies live here:
 
+* :class:`AggregateTotalsView` — per-point non-distinct aggregates and
+  running union(ALL) totals.  T-distributivity (Section 4.3) makes each
+  append one new-point aggregate plus one pointwise sum per tracked
+  attribute set.
 * :class:`EvolutionView` — the evolution overlay (Definition 2.7 /
   Fig. 4b) between a pinned old window and the growing tail of appended
   points.  Appearance sets are per-point unions, so each append reads
@@ -20,7 +23,7 @@ cover live here:
   along a semi-lattice chain, preserving the U-/I-Explore pruning
   structure (counts stay monotone along the maintained chain).
 
-Both exploit the append-only shape of the store: earlier presence
+The last two exploit the append-only shape of the store: earlier presence
 columns never change, and entities introduced later are absent from
 every earlier column, so masks recorded before an entity existed are
 extended exactly by padding with ``False``.
@@ -39,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core import TemporalGraph
+from ..core import AggregateGraph, TemporalGraph, aggregate
 from ..core.aggregation import (
     _edge_appearances,
     _edge_pairs,
@@ -50,7 +53,12 @@ from ..core.evolution import EvolutionAggregate, EvolutionWeights
 from ..core.intervals import Interval
 from ..core.operators import ordered_times
 from ..core.updates import SnapshotUpdate
-from ..errors import ExplorationError, ValidationError
+from ..errors import (
+    ExplorationError,
+    MaterializationError,
+    UnknownLabelError,
+    ValidationError,
+)
 from ..exploration.events import (
     ChainStep,
     EntityKind,
@@ -60,7 +68,12 @@ from ..exploration.events import (
 )
 from ..exploration.lattice import Semantics, Side
 
-__all__ = ["StreamingView", "EvolutionView", "ExplorationView"]
+__all__ = [
+    "StreamingView",
+    "AggregateTotalsView",
+    "EvolutionView",
+    "ExplorationView",
+]
 
 
 class StreamingView:
@@ -79,6 +92,80 @@ class StreamingView:
         """Fold one appended point into the state; ``graph`` is the
         post-append graph and ``update`` the snapshot that produced it."""
         raise NotImplementedError
+
+
+class AggregateTotalsView(StreamingView):
+    """Per-point non-distinct union aggregates plus running totals.
+
+    Parameters
+    ----------
+    tracked:
+        Attribute sets whose union(ALL) aggregates are kept current;
+        duplicates raise :class:`~repro.errors.MaterializationError`.
+    """
+
+    def __init__(self, tracked: Sequence[Sequence[str]]) -> None:
+        self._tracked = [tuple(attrs) for attrs in tracked]
+        if len(set(self._tracked)) != len(self._tracked):
+            raise MaterializationError("duplicate tracked attribute sets")
+        self._points: dict[tuple[str, ...], list[AggregateGraph]] = {}
+        self._totals: dict[tuple[str, ...], AggregateGraph] = {}
+
+    @property
+    def tracked(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(self._tracked)
+
+    def rebuild(self, graph: TemporalGraph) -> None:
+        self._points = {}
+        self._totals = {}
+        for attrs in self._tracked:
+            points = [
+                aggregate(graph, list(attrs), distinct=False, times=[t])
+                for t in graph.timeline.labels
+            ]
+            self._points[attrs] = points
+            total = points[0]
+            for point in points[1:]:
+                total = total.combine(point)
+            self._totals[attrs] = total
+
+    def extend(self, graph: TemporalGraph, update: SnapshotUpdate) -> None:
+        for attrs in self._tracked:
+            point = aggregate(
+                graph, list(attrs), distinct=False, times=[update.time]
+            )
+            self._points[attrs].append(point)
+            self._totals[attrs] = self._totals[attrs].combine(point)
+
+    def timepoint_aggregate(
+        self, attributes: Sequence[str], index: int
+    ) -> AggregateGraph:
+        """The aggregate of the ``index``-th time point.
+
+        ``index`` follows Python sequence semantics: negative values
+        count from the end of the timeline (``-1`` is the latest
+        point).  Out-of-range indices — in either direction — raise
+        :class:`~repro.errors.MaterializationError`.
+        """
+        points = self._points[self._key(attributes)]
+        if not -len(points) <= index < len(points):
+            raise MaterializationError(
+                f"time-point index {index} out of range for a timeline of "
+                f"{len(points)} points (valid: {-len(points)}..{len(points) - 1})"
+            )
+        return points[index]
+
+    def union_total(self, attributes: Sequence[str]) -> AggregateGraph:
+        """The running union(ALL) aggregate over the whole timeline."""
+        return self._totals[self._key(attributes)]
+
+    def _key(self, attributes: Sequence[str]) -> tuple[str, ...]:
+        key = tuple(attributes)
+        if key not in self._points:
+            raise UnknownLabelError(
+                f"attribute set {key!r} is not tracked; tracked: {self._tracked!r}"
+            )
+        return key
 
 
 class EvolutionView(StreamingView):

@@ -46,8 +46,12 @@ from ..errors import ConfigurationError
 from ..frames import LabeledFrame
 from ..exploration.events import ChainEvaluator, EntityKind, EventCounter, EventType
 from ..exploration.lattice import ExtendSide, Semantics, Side
-from ..materialize.streaming import AggregateTotalsView
-from ..streaming import EvolutionView, ExplorationView, StreamingStore
+from ..streaming import (
+    AggregateTotalsView,
+    EvolutionView,
+    ExplorationView,
+    StreamingStore,
+)
 from .asserts import carried_state_problem
 from .generators import graph_to_maps, random_time_sets
 from .reference_measures import measure_diff, with_random_measures

@@ -2,7 +2,7 @@
 
 The repo deliberately keeps several independently-optimized code paths
 per operation — the literal Algorithm 2 transcription vs the vectorized
-engine, fresh aggregation vs materialized derivation, the exploration
+engine, fresh aggregation vs the cube's derivation routes, the exploration
 kernel vs the per-step chain walk.  These laws run one random workload
 through *all* variants and diff the results bit-exactly (via the ``diff`` hooks
 on :class:`~repro.core.AggregateGraph` and
@@ -40,9 +40,9 @@ from ..exploration.explore import (
     exhaustive_explore,
     explore,
 )
-from ..materialize.incremental import IncrementalStore
-from ..materialize.store import MaterializedStore
 from ..obs.metrics import get_metrics
+from ..olap.cube import ROUTE_EXACT, ROUTE_ROLLUP, ROUTE_TIME_SUM, TemporalGraphCube
+from ..streaming import AggregateTotalsView, StreamingStore
 from .algorithm2 import aggregate_evolution_reference, aggregation_engines
 from ..exploration.lattice import Semantics, Side
 from .generators import random_time_sets
@@ -158,49 +158,81 @@ def _evolution_engines_agree(
 
 @register_law(
     "union-store-agrees",
-    "materialized union derivation equals fresh ALL aggregation",
+    "the cube's time_sum route over warm per-point cuboids equals fresh "
+    "ALL aggregation, and one-point DIST/ALL roll-ups from a cached "
+    "superset equal fresh aggregates",
     hostile_safe=False,
 )
 def _union_store_agrees(
     graph: TemporalGraph, rng: np.random.Generator
 ) -> str | None:
-    attrs = _pick_attributes(rng, graph)
-    window = random_time_sets(rng, graph, n=1)[0]
-    store = MaterializedStore(graph)
-    derived = store.union_aggregate(attrs, window)
+    picked = set(_pick_attributes(rng, graph))
+    attrs = [a for a in graph.attribute_names if a in picked]  # cube order
+    window = random_time_sets(rng, graph, n=1, hostile=True)[0]
+    cube = TemporalGraphCube(graph)
+    cube.materialize(attrs, times=window, per_time_point=True)
+    expected = ROUTE_TIME_SUM if len(set(window)) > 1 else ROUTE_EXACT
+    route = cube.plan_routes(attrs, times=window)[0]
+    if route.kind != expected:
+        return f"warm per-point cuboids planned {route.describe()}, not {expected}"
+    derived = cube.execute_route(route)
     fresh = aggregate(graph, attrs, distinct=False, times=window)
     problems = derived.diff(fresh)
     if problems:
-        return f"store derivation diverges over {window!r}: {problems[0]}"
+        return f"time_sum derivation diverges over {window!r}: {problems[0]}"
+    subset = attrs if len(attrs) < len(cube.dimensions) else attrs[:-1]
+    if not subset:
+        return None
+    point = (window[int(rng.integers(len(window)))],)
+    rolled = TemporalGraphCube(graph)
+    for distinct in (True, False):
+        rolled.materialize(cube.dimensions, times=point, distinct=distinct)
+        route = rolled.plan_routes(subset, times=point, distinct=distinct)[0]
+        if route.kind != ROUTE_ROLLUP:
+            return f"cached superset planned {route.describe()}, not rollup"
+        derived = rolled.execute_route(route)
+        fresh = aggregate(graph, subset, distinct=distinct, times=point)
+        problems = derived.diff(fresh)
+        if problems:
+            return f"rollup derivation diverges at {point!r}: {problems[0]}"
     return None
 
 
 @register_law(
     "incremental-replay-agrees",
-    "replaying the graph's history through IncrementalStore reproduces "
-    "the whole-graph store and the direct aggregate",
+    "replaying the graph's history through a StreamingStore with an "
+    "AggregateTotalsView reproduces the whole-graph view and the direct "
+    "aggregate",
     hostile_safe=False,
 )
 def _incremental_replay_agrees(
     graph: TemporalGraph, rng: np.random.Generator
 ) -> str | None:
     attrs = tuple(_pick_attributes(rng, graph))
-    replayed = IncrementalStore.from_history(graph, [attrs])
-    if replayed.graph.timeline.labels != graph.timeline.labels:
+    replayed = AggregateTotalsView([attrs])
+    store = StreamingStore.from_history(graph, views=[replayed])
+    if store.graph.timeline.labels != graph.timeline.labels:
         return (
-            f"replayed timeline {replayed.graph.timeline.labels!r} != "
+            f"replayed timeline {store.graph.timeline.labels!r} != "
             f"{graph.timeline.labels!r}"
         )
-    if presence_signature(replayed.graph) != presence_signature(graph):
+    if presence_signature(store.graph) != presence_signature(graph):
         return "replayed graph's presence diverges from the original"
-    fresh = IncrementalStore(graph, [attrs])
+    fresh = AggregateTotalsView([attrs])
+    StreamingStore(graph, views=[fresh])
+    for index in range(len(graph.timeline)):
+        problems = replayed.timepoint_aggregate(attrs, index).diff(
+            fresh.timepoint_aggregate(attrs, index)
+        )
+        if problems:
+            return f"replayed point {index} diverges: {problems[0]}"
     problems = replayed.union_total(attrs).diff(fresh.union_total(attrs))
     if problems:
         return f"replayed union total diverges: {problems[0]}"
     direct = aggregate(graph, list(attrs), distinct=False)
     problems = fresh.union_total(attrs).diff(direct)
     if problems:
-        return f"store union total diverges from direct aggregate: {problems[0]}"
+        return f"view union total diverges from direct aggregate: {problems[0]}"
     return None
 
 

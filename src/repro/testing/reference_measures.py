@@ -24,7 +24,7 @@ import numpy as np
 from ..core import TemporalGraph
 from ..core.aggregation import AttributeTuple, EdgeKey
 from ..core.intervals import TimeSet
-from ..core.measures import MEASURES, MeasureGraph
+from ..core.measures import MEASURES, MeasureGraph, _require_numeric
 from ..core.operators import ordered_times
 from ..errors import AggregationError, UnknownLabelError
 from ..frames import LabeledFrame
@@ -74,6 +74,7 @@ def reference_measure(
         for node, t, values in combined.rows
         if values[-1] is not None
     ]
+    _require_numeric((value for *_, value in node_rows), measure_attribute)
     if distinct:
         seen = set()
         deduped = []
@@ -179,6 +180,7 @@ def reference_edge_measure(
             if source is None or target is None:
                 continue
             rows.append((edge, (source, target), value))
+    _require_numeric((value for *_, value in rows), edge_attribute)
     if distinct:
         seen: set[tuple[Any, EdgeKey, Any]] = set()
         deduped = []

@@ -17,6 +17,11 @@ from repro.bench import (
     measure,
     speedup,
 )
+from repro.bench.experiments import _planned_derivation
+from repro.core import aggregate, union
+from repro.errors import ConfigurationError
+from repro.olap import TemporalGraphCube
+from repro.testing import assert_same_aggregate
 
 
 class TestTiming:
@@ -128,6 +133,48 @@ class TestExperimentDrivers:
         for values in series.series.values():
             assert len(values) == len(small_movielens.timeline)
             assert all(v > 0 for v in values)
+
+    def test_fig10_times_the_cubes_time_sum_route(self, small_movielens):
+        """Figure 10 warms per-point cuboids and times the derivation
+        the cube's planned ``time_sum`` route runs."""
+        cube = TemporalGraphCube(small_movielens)
+        cube.materialize(["gender"], distinct=False, per_time_point=True)
+        warm = cube.cached_count
+        for end in range(2, len(small_movielens.timeline) + 1):
+            span = small_movielens.timeline.labels[:end]
+            route = _planned_derivation(
+                cube, "time_sum", ["gender"], span, distinct=False
+            )
+            assert route.kind == "time_sum"
+            assert_same_aggregate(
+                cube._derive(route),
+                aggregate(union(small_movielens, span), ["gender"], distinct=False),
+            )
+        assert cube.cached_count == warm  # the timed step caches nothing
+
+    def test_fig11_times_the_cubes_rollup_route(self, small_movielens):
+        superset = ("gender", "age", "occupation", "rating")
+        cube = TemporalGraphCube(small_movielens)
+        cube.materialize(superset, distinct=True, per_time_point=True)
+        for subset in (["gender"], ["rating"], ["gender", "age", "rating"]):
+            for time in small_movielens.timeline.labels:
+                route = _planned_derivation(
+                    cube, "rollup", subset, [time], distinct=True
+                )
+                assert (route.kind, route.source) == ("rollup", superset)
+                assert_same_aggregate(
+                    cube._derive(route),
+                    aggregate(small_movielens, subset, distinct=True, times=[time]),
+                )
+        assert cube.stats.queries == 0
+
+    def test_planned_derivation_rejects_a_cold_cube(self, small_movielens):
+        cube = TemporalGraphCube(small_movielens)
+        with pytest.raises(ConfigurationError, match="time_sum"):
+            _planned_derivation(
+                cube, "time_sum", ["gender"],
+                small_movielens.timeline.labels, distinct=False,
+            )
 
     def test_series_add(self, small_movielens):
         series = fig5_timepoint_aggregation(small_movielens, [["gender"]])

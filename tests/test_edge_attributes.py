@@ -11,7 +11,9 @@ from repro.core import (
     append_snapshot,
     union,
 )
+from repro.errors import AggregationError
 from repro.frames import LabeledFrame
+from repro.testing.reference_measures import reference_edge_measure
 
 
 @pytest.fixture()
@@ -178,6 +180,17 @@ class TestEdgeMeasure:
             aggregate_edge_measure(
                 weighted_graph, ["gender"], "papers", measure="median"
             )
+
+    @pytest.mark.parametrize("engine", [aggregate_edge_measure, reference_edge_measure])
+    def test_non_numeric_edge_attribute(self, engine):
+        builder = TemporalGraphBuilder(["t0"], static=["gender"], edge_static=["venue"])
+        for node, gender in [("a", "m"), ("b", "f")]:
+            builder.add_node(node, {"gender": gender})
+            builder.set_node_presence(node, "t0")
+        builder.add_edge("a", "b", ["t0"], static={"venue": "EDBT"})
+        graph = builder.build()
+        with pytest.raises(AggregationError, match="'venue' is not numeric"):
+            engine(graph, ["gender"], "venue", "sum")
 
     def test_node_values_empty(self, weighted_graph):
         result = aggregate_edge_measure(weighted_graph, ["gender"], "papers")

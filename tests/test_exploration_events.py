@@ -135,6 +135,37 @@ class TestMalformedKeys:
             )
 
     @pytest.mark.parametrize("attributes", [["gender"], ["publications"]])
+    @pytest.mark.parametrize(
+        "entity, key",
+        [
+            (EntityKind.EDGES, ("female", "f")),
+            (EntityKind.EDGES, ("f", "f")),
+            (EntityKind.EDGES, (("f",), "m")),
+            (EntityKind.EDGES, (b"f", ("m",))),
+            (EntityKind.NODES, "f"),
+            (EntityKind.NODES, b"f"),
+        ],
+    )
+    def test_string_where_a_tuple_is_wanted(
+        self, paper_graph, attributes, entity, key
+    ):
+        """``tuple("female")`` would split the string into characters
+        that match nothing; a string key or endpoint is rejected."""
+        with pytest.raises(ExplorationError, match="is not"):
+            EventCounter(paper_graph, entity, attributes, key=key)
+        with pytest.raises(ExplorationError, match="is not"):
+            explore(
+                paper_graph,
+                EventType.STABILITY,
+                Goal.MAXIMAL,
+                ExtendSide.NEW,
+                1,
+                entity=entity,
+                attributes=attributes,
+                key=key,
+            )
+
+    @pytest.mark.parametrize("attributes", [["gender"], ["publications"]])
     def test_well_formed_key_of_wrong_length_matches_nothing(
         self, paper_graph, attributes
     ):

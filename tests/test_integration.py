@@ -33,9 +33,9 @@ from repro.exploration import (
     explore_groups,
     suggest_threshold,
 )
-from repro.materialize import MaterializedStore
 from repro.olap import TemporalGraphCube, greedy_view_selection
 from repro.query import run_query
+from repro.streaming import AggregateTotalsView, StreamingStore
 from repro.testing import aggregate_algorithm2, assert_same_aggregate
 
 
@@ -104,15 +104,19 @@ class TestSessionPipeline:
         assert cube.stats.base_computations == 0
 
     def test_materialized_store_consistent_with_cube(self, small_dblp):
+        """The streaming totals view and the cube's time_sum route are
+        the two T-distributive paths; over a replayed history they agree
+        on every window the view maintains."""
         window = small_dblp.timeline.labels[:6]
-        store = MaterializedStore(small_dblp)
-        store.precompute(["gender"], distinct=False, times=window)
+        totals = AggregateTotalsView([("gender",)])
+        StreamingStore.from_history(union(small_dblp, window), views=[totals])
         cube = TemporalGraphCube(small_dblp)
         cube.materialize(["gender"], per_time_point=True, times=window)
         assert_same_aggregate(
-            store.union_aggregate(["gender"], window),
+            totals.union_total(["gender"]),
             cube.cuboid(["gender"], times=window, distinct=False),
         )
+        assert cube.stats.time_rollups == 1
 
 
 class TestExplorationPipeline:

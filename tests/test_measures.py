@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MEASURES, aggregate_measure
+from repro.errors import AggregationError
 from repro.testing.reference_measures import measure_diff, reference_measure
 
 
@@ -90,6 +91,15 @@ class TestValidation:
             aggregate_measure(
                 paper_graph, ["gender"], "publications", times=["t9"]
             )
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    @pytest.mark.parametrize("engine", [aggregate_measure, reference_measure])
+    def test_non_numeric_measure_attribute(self, paper_graph, engine, measure):
+        """A non-numeric measure raises AggregationError naming the
+        attribute — not a bare TypeError from the reducer, and not a
+        string MIN/MAX — from the engine and its reference alike."""
+        with pytest.raises(AggregationError, match="'gender' is not numeric"):
+            engine(paper_graph, ["publications"], "gender", measure)
 
     def test_repr(self, paper_graph):
         mg = aggregate_measure(

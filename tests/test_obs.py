@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import aggregate, aggregate_evolution, union
 from repro.errors import ConfigurationError
-from repro.materialize import MaterializedStore
 from repro.obs import (
     MetricsRegistry,
     NullSpanHandle,
@@ -277,16 +276,6 @@ class TestPipelineIntegration:
         assert registry.counter("exploration.runs") == 1
         assert registry.counter("exploration.chains") >= 1
         assert registry.counter("exploration.chain_steps") >= 1
-
-    def test_store_stats_mirror_metrics(self, paper_graph, fresh_obs):
-        _, registry = fresh_obs
-        store = MaterializedStore(paper_graph)
-        store.union_aggregate(["gender"], paper_graph.timeline.labels)
-        store.union_aggregate(["gender"], paper_graph.timeline.labels)
-        assert registry.counter("materialize.cache_hits") == store.stats.hits
-        assert registry.counter("materialize.cache_misses") == store.stats.misses
-        assert registry.counter("materialize.derivations") == store.stats.derived
-        assert store.stats.hits > 0 and store.stats.misses > 0
 
     def test_disabled_tracer_still_counts(self, paper_graph):
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import TimeHierarchy, aggregate, union
+from repro.errors import TemporalError
 from repro.olap import (
     TemporalGraphCube,
     all_cuboids,
@@ -200,6 +201,20 @@ class TestCube:
     def test_unknown_time_rejected(self, cube):
         with pytest.raises(KeyError):
             cube.cuboid(["gender"], times=["November"])
+
+    def test_unit_without_members_is_an_empty_window(self, small_movielens):
+        """A hierarchy unit with no member in the timeline resolves to an
+        empty window: TemporalError, as ``union(g, [])`` raises, instead
+        of a cached 0-node cuboid."""
+        hierarchy = TimeHierarchy({"summer": ["May"], "winter": ["Dec"]})
+        cube = TemporalGraphCube(small_movielens, hierarchy=hierarchy)
+        with pytest.raises(TemporalError):
+            cube.cuboid(["gender"], times=["winter"], distinct=False)
+        with pytest.raises(TemporalError):
+            cube.plan_routes(["gender"], times=["winter"])
+        with pytest.raises(TemporalError):
+            cube.materialize(["gender"], times=["winter"], per_time_point=True)
+        assert cube.cached_count == 0
 
 
 class TestCubeCacheRegressions:

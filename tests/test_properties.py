@@ -29,7 +29,7 @@ from repro.exploration import (
     explore,
 )
 from repro.frames import LabeledFrame, Table, unpivot
-from repro.materialize import MaterializedStore
+from repro.olap import TemporalGraphCube
 
 
 from repro.testing import temporal_graphs  # noqa: E402
@@ -137,10 +137,11 @@ def test_rollup_matches_direct_aggregation_per_point(graph):
 @settings(max_examples=50, deadline=None)
 @given(temporal_graphs())
 def test_t_distributive_union_all(graph):
-    store = MaterializedStore(graph)
+    cube = TemporalGraphCube(graph)
     times = graph.timeline.labels
     for attrs in (["gender"], ["level"]):
-        derived = store.union_aggregate(attrs, times)
+        cube.materialize(attrs, per_time_point=True)
+        derived = cube.cuboid(attrs, times=times, distinct=False)
         direct = aggregate(union(graph, times), attrs, distinct=False)
         assert dict(derived.node_weights) == dict(direct.node_weights)
         assert dict(derived.edge_weights) == dict(direct.edge_weights)

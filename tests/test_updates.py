@@ -11,8 +11,8 @@ from repro.core import (
     split_history,
     union,
 )
-from repro.errors import UnknownLabelError, ValidationError
-from repro.materialize import IncrementalStore
+from repro.errors import MaterializationError, UnknownLabelError, ValidationError
+from repro.streaming import AggregateTotalsView, StreamingStore
 from repro.testing import (
     GraphSpec,
     assert_same_graph,
@@ -163,64 +163,65 @@ class TestSplitHistory:
         assert_same_graph(rebuilt, tiny_graph)
 
     def test_incremental_store_from_history(self, paper_graph):
-        store = IncrementalStore.from_history(paper_graph, [("gender",)])
+        totals = AggregateTotalsView([("gender",)])
+        StreamingStore.from_history(paper_graph, views=[totals])
         direct = aggregate(paper_graph, ["gender"], distinct=False)
-        assert dict(store.union_total(["gender"]).node_weights) == dict(
+        assert dict(totals.union_total(["gender"]).node_weights) == dict(
             direct.node_weights
         )
 
 
-class TestIncrementalStore:
+def tracked_store(graph, *tracked):
+    """A streaming store over ``graph`` with one totals view registered."""
+    totals = AggregateTotalsView(tracked)
+    return StreamingStore(graph, views=[totals]), totals
+
+
+class TestAggregateTotalsView:
     def test_initial_totals(self, paper_graph):
-        store = IncrementalStore(paper_graph, [("gender",)])
+        _, totals = tracked_store(paper_graph, ("gender",))
         direct = aggregate(paper_graph, ["gender"], distinct=False)
-        assert dict(store.union_total(["gender"]).node_weights) == dict(
+        assert dict(totals.union_total(["gender"]).node_weights) == dict(
             direct.node_weights
         )
 
     def test_append_updates_totals(self, paper_graph):
-        store = IncrementalStore(paper_graph, [("gender",)])
-        extended = store.append(make_update())
-        direct = aggregate(extended, ["gender"], distinct=False)
-        assert dict(store.union_total(["gender"]).node_weights) == dict(
+        store, totals = tracked_store(paper_graph, ("gender",))
+        store.append_snapshot(make_update())
+        direct = aggregate(store.graph, ["gender"], distinct=False)
+        assert dict(totals.union_total(["gender"]).node_weights) == dict(
             direct.node_weights
         )
-        assert dict(store.union_total(["gender"]).edge_weights) == dict(
+        assert dict(totals.union_total(["gender"]).edge_weights) == dict(
             direct.edge_weights
         )
 
     def test_multiple_tracked_sets(self, paper_graph):
-        store = IncrementalStore(
-            paper_graph, [("gender",), ("publications",)]
+        store, totals = tracked_store(
+            paper_graph, ("gender",), ("publications",)
         )
-        extended = store.append(make_update())
+        store.append_snapshot(make_update())
         for attrs in (["gender"], ["publications"]):
-            direct = aggregate(extended, attrs, distinct=False)
-            assert dict(store.union_total(attrs).node_weights) == dict(
+            direct = aggregate(store.graph, attrs, distinct=False)
+            assert dict(totals.union_total(attrs).node_weights) == dict(
                 direct.node_weights
             )
 
     def test_timepoint_access(self, paper_graph):
-        store = IncrementalStore(paper_graph, [("gender",)])
-        store.append(make_update())
-        point = store.timepoint_aggregate(["gender"], 3)
+        store, totals = tracked_store(paper_graph, ("gender",))
+        store.append_snapshot(make_update())
+        point = totals.timepoint_aggregate(["gender"], 3)
         direct = aggregate(store.graph, ["gender"], distinct=False, times=["t3"])
         assert dict(point.node_weights) == dict(direct.node_weights)
 
     def test_untracked_rejected(self, paper_graph):
-        store = IncrementalStore(paper_graph, [("gender",)])
-        with pytest.raises(KeyError):
-            store.union_total(["publications"])
+        _, totals = tracked_store(paper_graph, ("gender",))
+        with pytest.raises(UnknownLabelError):
+            totals.union_total(["publications"])
 
-    def test_duplicate_tracked_rejected(self, paper_graph):
-        with pytest.raises(ValueError):
-            IncrementalStore(paper_graph, [("gender",), ("gender",)])
-
-    def test_graph_property_tracks_appends(self, paper_graph):
-        store = IncrementalStore(paper_graph, [("gender",)])
-        assert store.graph is paper_graph
-        extended = store.append(make_update())
-        assert store.graph is extended
+    def test_duplicate_tracked_rejected(self):
+        with pytest.raises(MaterializationError):
+            AggregateTotalsView([("gender",), ("gender",)])
 
 
 class TestSnapshotUpdateFrozen:
