@@ -223,6 +223,12 @@ class TestAggregateTotalsView:
         with pytest.raises(MaterializationError):
             AggregateTotalsView([("gender",), ("gender",)])
 
+    def test_graph_property_tracks_appends(self, paper_graph):
+        store, _ = tracked_store(paper_graph, ("gender",))
+        assert store.graph is paper_graph
+        extended = store.append_snapshot(make_update())
+        assert store.graph is extended.graph
+
 
 class TestSnapshotUpdateFrozen:
     def test_generator_edges_survive_replay(self, paper_graph):
