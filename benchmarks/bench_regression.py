@@ -9,11 +9,11 @@ Run with ``pytest benchmarks -m bench_smoke``.  Three layers:
 * **recorded gates** — the claims each report was committed to support
   still hold within ``REPRO_BENCH_TOLERANCE`` (see
   ``benchmarks/conftest.py``): the incremental-evaluator speedups, the
-  observability overhead budget, and — only when the recording machine
-  had enough CPUs — the parallel-executor speedup gate;
-* **live smoke** — the parallel benchmark re-runs end to end at smoke
-  size, which re-asserts serial/parallel parity on this machine before
-  any timing is trusted.
+  observability overhead budget, the serving, storage and streaming
+  gates;
+* **live smoke** — the streaming, storage and serving benchmarks re-run
+  end to end at smoke size, which re-asserts their parity checks on
+  this machine before any timing is trusted.
 
 Wall-clock times are never compared across machines; only ratios and
 internal consistency are checked, so the gate is meaningful on any box.
@@ -26,10 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from bench_fabric import GATE as FABRIC_GATE
-from bench_fabric import main as fabric_bench_main
-from bench_parallel_speedup import GATE, GATE_MIN_CPUS
-from bench_parallel_speedup import main as parallel_bench_main
 from bench_serving import GATE as SERVING_GATE
 from bench_serving import main as serving_bench_main
 from bench_exploration_scaling import LONG_TIMELINE_GATE
@@ -108,52 +104,6 @@ class TestObsBaseline:
         budget = obs_baseline["meta"]["budget"]
         for row in obs_baseline["workloads"]:
             assert row["disabled_overhead_vs_baseline"] <= budget + bench_tolerance
-
-
-class TestParallelBaseline:
-    def test_structure(self, parallel_baseline):
-        meta = parallel_baseline["meta"]
-        assert not meta["smoke"]
-        assert meta["cpu_count"] >= 1
-        assert meta["gate"] == GATE
-        assert meta["gate_min_cpus"] == GATE_MIN_CPUS
-        seen = {
-            (row["workload"], row["workers"])
-            for row in parallel_baseline["speedups"]
-        }
-        assert seen == {
-            ("explore", 2),
-            ("explore", 4),
-            ("aggregate", 2),
-            ("aggregate", 4),
-        }
-        for row in parallel_baseline["speedups"]:
-            assert _recomputes(
-                row["speedup"], row["serial_best_s"], row["parallel_best_s"]
-            )
-
-    def test_speedup_gate_when_recorded_on_enough_cpus(
-        self, parallel_baseline, bench_tolerance
-    ):
-        # The gate only binds when the recording machine could actually
-        # run 4 workers concurrently; the report keeps the numbers either
-        # way so cross-machine comparisons stay possible.
-        meta = parallel_baseline["meta"]
-        if meta["cpu_count"] < meta["gate_min_cpus"]:
-            pytest.skip(
-                f"baseline recorded on {meta['cpu_count']} CPU(s); "
-                f"gate needs >= {meta['gate_min_cpus']}"
-            )
-        best = max(
-            row["speedup"]
-            for row in parallel_baseline["speedups"]
-            if row["workload"] == "explore" and row["workers"] == 4
-        )
-        assert best >= meta["gate"] * (1 - bench_tolerance)
-
-    def test_inline_guarantee(self, parallel_baseline, bench_tolerance):
-        # parallelism=1 must not have paid pool overhead when recorded.
-        assert parallel_baseline["inline_guarantee"]["overhead"] <= bench_tolerance
 
 
 class TestStreamingBaseline:
@@ -263,47 +213,6 @@ class TestStorageBaseline:
             ), f"{row['dataset']}: columnar mask hot path regressed"
 
 
-class TestFabricBaseline:
-    def test_structure(self, fabric_baseline):
-        meta = fabric_baseline["meta"]
-        assert not meta["smoke"]
-        assert meta["gate"] == FABRIC_GATE
-        assert meta["gate_min_cpus"] == GATE_MIN_CPUS
-        assert meta["cpu_count"] >= 1
-        assert meta["workers"] >= 2
-        assert meta["n_queries"] > 0
-        modes = {row["mode"] for row in fabric_baseline["arms"]}
-        assert modes == {"fabric", "inline"}
-        by_mode = {row["mode"]: row for row in fabric_baseline["arms"]}
-        assert by_mode["fabric"]["workers"] == meta["workers"]
-        assert by_mode["inline"]["workers"] == 1
-        for row in fabric_baseline["arms"]:
-            assert row["requests"] == meta["requests"]
-            assert row["qps"] > 0
-            assert row["p50_ms"] <= row["p99_ms"]
-        assert _recomputes(
-            fabric_baseline["speedup"],
-            by_mode["fabric"]["qps"],
-            by_mode["inline"]["qps"],
-        )
-
-    def test_inline_gate_when_recorded_on_enough_cpus(
-        self, fabric_baseline, bench_tolerance
-    ):
-        # Fabric vs inline is a real-parallelism ratio, so — like the
-        # parallel speedup gate — it binds only when the recording
-        # machine had the cores; the ratio is recorded either way.
-        meta = fabric_baseline["meta"]
-        if meta["cpu_count"] < meta["gate_min_cpus"]:
-            pytest.skip(
-                f"baseline recorded on {meta['cpu_count']} CPU(s); "
-                f"gate needs >= {meta['gate_min_cpus']}"
-            )
-        assert fabric_baseline["speedup"] >= meta["gate"] * (
-            1 - bench_tolerance
-        ), "the fabric fell behind inline serial serving"
-
-
 class TestBaselineCatalogue:
     """Every committed ``BENCH_*.json`` must be parsable and covered.
 
@@ -316,11 +225,9 @@ class TestBaselineCatalogue:
     COVERED = {
         "BENCH_explore.json": "explore_baseline",
         "BENCH_obs.json": "obs_baseline",
-        "BENCH_parallel.json": "parallel_baseline",
         "BENCH_streaming.json": "streaming_baseline",
         "BENCH_serving.json": "serving_baseline",
         "BENCH_storage.json": "storage_baseline",
-        "BENCH_fabric.json": "fabric_baseline",
     }
 
     def test_every_committed_report_is_covered_and_parsable(self):
@@ -350,16 +257,6 @@ class TestBaselineCatalogue:
 
 
 class TestLiveSmoke:
-    def test_parallel_bench_smoke_run(self, tmp_path):
-        """End-to-end smoke run: parity asserts fire on *this* machine."""
-        output = tmp_path / "BENCH_parallel.json"
-        exit_code = parallel_bench_main(["--smoke", "--output", str(output)])
-        assert exit_code == 0
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["meta"]["smoke"] is True
-        assert len(report["speedups"]) == 4
-        assert report["inline_guarantee"]["serial_best_s"] > 0
-
     def test_streaming_bench_smoke_run(self, tmp_path):
         """End-to-end smoke run: the delta-vs-recompute parity asserts
         fire on *this* machine before anything is timed."""
@@ -400,19 +297,5 @@ class TestLiveSmoke:
         assert {row["mode"] for row in report["arms"]} == {
             "cached",
             "uncached",
-        }
-        assert report["speedup"] > 0
-
-    def test_fabric_bench_smoke_run(self, tmp_path):
-        """End-to-end smoke run: the fabric-vs-naive parity asserts fire
-        on *this* machine before either arm is timed."""
-        output = tmp_path / "BENCH_fabric.json"
-        exit_code = fabric_bench_main(["--smoke", "--output", str(output)])
-        assert exit_code == 0
-        report = json.loads(output.read_text(encoding="utf-8"))
-        assert report["meta"]["smoke"] is True
-        assert {row["mode"] for row in report["arms"]} == {
-            "fabric",
-            "inline",
         }
         assert report["speedup"] > 0

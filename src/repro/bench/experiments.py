@@ -21,7 +21,6 @@ from typing import Any
 from ..core import TemporalGraph, aggregate, difference, project, union
 from ..errors import ConfigurationError
 from ..olap.cube import ROUTE_ROLLUP, ROUTE_TIME_SUM, CubeRoute, TemporalGraphCube
-from ..parallel import get_executor
 from .timing import measure
 
 __all__ = [
@@ -313,9 +312,7 @@ def fig10_materialized_union_speedup(
 class SweepSpec:
     """One figure sweep to run: the driver's name and its kwargs.
 
-    Specs are plain picklable data, so a list of them can be fanned out
-    over a process pool (:func:`run_sweeps`) — each worker re-runs the
-    named ``fig*`` driver against the shared graph payload.  ``kwargs``
+    :func:`run_sweeps` runs a list of them against one graph.  ``kwargs``
     is stored as a sorted item tuple to keep the spec hashable and its
     repr stable.
     """
@@ -339,33 +336,21 @@ def run_sweep(graph: TemporalGraph, spec: SweepSpec) -> ExperimentSeries:
     return driver(graph, **dict(spec.kwargs))
 
 
-def _sweep_task(payload: TemporalGraph, task: SweepSpec) -> ExperimentSeries:
-    """Chunk worker: one sweep per task, graph shared as the payload."""
-    return run_sweep(payload, task)
-
-
 def run_sweeps(
-    graph: TemporalGraph,
-    specs: Sequence[SweepSpec],
-    parallelism: int | str | None = None,
+    graph: TemporalGraph, specs: Sequence[SweepSpec]
 ) -> list[ExperimentSeries]:
-    """Run several figure sweeps, optionally concurrently.
+    """Run several figure sweeps in spec order.
 
-    Results come back in spec order regardless of completion order.
-    Note the caveat that does *not* apply elsewhere in the parallel
-    layer: sweeps measure wall time, so running them concurrently on a
-    loaded machine perturbs the timings themselves — use pools to
-    shorten exploratory iterations, and serial runs for publishable
-    numbers (see ``docs/parallelism.md``).
+    Every spec is validated before any sweep runs, so a typo late in the
+    list fails fast instead of after the earlier sweeps' timings.
     """
-    for spec in specs:  # validate before paying for any sweep
+    for spec in specs:
         if spec.figure not in _SWEEP_DRIVERS:
             raise ConfigurationError(
                 f"unknown sweep figure {spec.figure!r}; "
                 f"known: {sorted(_SWEEP_DRIVERS)}"
             )
-    executor = get_executor(parallelism, chunk_size=1)
-    return executor.map(_sweep_task, list(specs), graph)
+    return [run_sweep(graph, spec) for spec in specs]
 
 
 def fig11_attribute_rollup_speedup(

@@ -394,19 +394,14 @@ def _run_profile(args: argparse.Namespace) -> None:
     from .obs import render_metrics, render_span_tree, to_json
     from .obs.profile import run_profile
 
-    report = run_profile(
-        args.dataset, args.workload, scale=args.scale, workers=args.workers
-    )
+    report = run_profile(args.dataset, args.workload, scale=args.scale)
     if args.json:
         out = Path(args.json)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(to_json(report.to_dict()) + "\n", encoding="utf-8")
         print(f"wrote {out}")
         return
-    print(
-        f"profile {args.workload} on {args.dataset} @ scale {args.scale} "
-        f"({report.workers} worker{'s' if report.workers != 1 else ''})"
-    )
+    print(f"profile {args.workload} on {args.dataset} @ scale {args.scale}")
     for name, value in report.summary.items():
         print(f"  {name}: {value}")
     print()
@@ -506,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", choices=["aggregate", "explore", "session", "serve"]
     )
     profile.add_argument("--scale", type=float, default=0.05)
-    profile.add_argument(
-        "--workers", default=None, metavar="N",
-        help="worker processes for the parallel layer "
-             "(an integer or 'auto'; default: serial)",
-    )
     profile.add_argument("--json", default=None, metavar="PATH",
                          help="write the report as JSON instead of text")
     profile.set_defaults(func=_run_profile)

@@ -40,7 +40,6 @@ import numpy as np
 from ..frames import Table
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
-from ..parallel import Executor, InlineExecutor, get_executor, plan_chunks
 from .graph import TemporalGraph
 from .intervals import TimeSet
 from .operators import ordered_times
@@ -318,10 +317,9 @@ def _tuple_codes(
     graph: TemporalGraph,
     attributes: Sequence[str],
     positions: np.ndarray,
-    rows: np.ndarray | None = None,
 ) -> _TupleCodes:
-    """Factorize the present appearances of ``rows`` (default: every
-    node) over the timeline columns ``positions``.
+    """Factorize the present node appearances over the timeline columns
+    ``positions``.
 
     Only present cells are read.  A static attribute is factorized once
     per present node and broadcast to that node's appearances; a
@@ -329,19 +327,11 @@ def _tuple_codes(
     into one mixed-radix code and densified with ``numpy.unique``, which
     also yields one representative appearance per tuple to decode.
     """
-    presence = graph.node_presence.values
-    block = (
-        presence[:, positions]
-        if rows is None
-        else presence[np.ix_(rows, positions)]
-    )
+    block = graph.node_presence.values[:, positions]
     local, cols = np.nonzero(block)
     present = block.any(axis=1)
     entity = (np.cumsum(present) - 1)[local]
     present_rows = np.flatnonzero(present)
-    if rows is not None:
-        local = rows[local]
-        present_rows = rows[present_rows]
 
     layers: list[tuple[np.ndarray, list[Any]]] = []
     for name in attributes:
@@ -400,13 +390,10 @@ def _edge_appearances(
     graph: TemporalGraph,
     node_codes: _TupleCodes,
     positions: np.ndarray,
-    start: int = 0,
-    stop: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(edge row, window column, source, target)`` per edge appearance
-    of edge rows ``[start, stop)`` over ``positions``, in row-major
-    order; ``source`` and ``target`` index the endpoints' appearances in
-    ``node_codes``.
+    over ``positions``, in row-major order; ``source`` and ``target``
+    index the endpoints' appearances in ``node_codes``.
 
     An appearance is kept when both endpoints are present at that time
     in ``node_codes``.  A dangling endpoint (row ``-1``) is skipped, as
@@ -414,8 +401,7 @@ def _edge_appearances(
     no tuple for either.
     """
     sources, targets = graph.storage.edge_endpoint_rows()
-    sources, targets = sources[start:stop], targets[start:stop]
-    block = graph.edge_presence.values[start:stop][:, positions]
+    block = graph.edge_presence.values[:, positions]
     edge_rows, cols = np.nonzero(block)
     known = (sources[edge_rows] >= 0) & (targets[edge_rows] >= 0)
     edge_rows, cols = edge_rows[known], cols[known]
@@ -424,7 +410,7 @@ def _edge_appearances(
     source = grid[sources[edge_rows], cols]
     target = grid[targets[edge_rows], cols]
     keep = (source >= 0) & (target >= 0)
-    return edge_rows[keep] + start, cols[keep], source[keep], target[keep]
+    return edge_rows[keep], cols[keep], source[keep], target[keep]
 
 
 def _edge_pairs(
@@ -461,109 +447,26 @@ def _weights(
     attributes: Sequence[str],
     window: TimeSet,
     distinct: bool,
-    task: _PartialTask | None = None,
 ) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
-    """The kernel: ``(node weights, edge weights)`` of the whole graph, or
-    of one ``(kind, start, stop)`` row-range task.
-
-    A ``"node"`` task counts node rows ``[start, stop)`` only; an
-    ``"edge"`` task counts edge rows ``[start, stop)`` only and
-    factorizes just their endpoint node rows.
-    """
-    kind, start, stop = task or ("all", 0, graph.n_edges)
+    """The kernel: ``(node weights, edge weights)`` of the whole graph."""
     positions = _window_positions(graph, window)
-    rows: np.ndarray | None = None
-    if kind == "node":
-        rows = np.arange(start, stop)
-    elif kind == "edge":
-        sources, targets = graph.storage.edge_endpoint_rows()
-        rows = np.unique(
-            np.concatenate((sources[start:stop], targets[start:stop]))
-        )
-        rows = rows[rows >= 0]
     metrics = get_metrics()
     with trace_span("aggregate.factorize"):
-        node_codes = _tuple_codes(graph, attributes, positions, rows)
-    radix = len(node_codes.tuples)
-    node_counts = pair_counts = np.zeros(0, dtype=np.int64)
-    pairs: list[EdgeKey] = []
+        node_codes = _tuple_codes(graph, attributes, positions)
     with trace_span("aggregate.count"):
-        if kind != "edge":
-            metrics.inc("aggregate.appearances", len(node_codes.codes))
-            node_counts = _count(
-                node_codes.entity, node_codes.codes, radix, distinct
-            )
-        if kind != "node":
-            edge_rows, _, sources, targets = _edge_appearances(
-                graph, node_codes, positions, start, stop
-            )
-            metrics.inc("aggregate.appearances", len(edge_rows))
-            pair_codes, pairs = _edge_pairs(node_codes, sources, targets)
-            pair_counts = _count(edge_rows, pair_codes, len(pairs), distinct)
+        metrics.inc("aggregate.appearances", len(node_codes.codes))
+        node_counts = _count(
+            node_codes.entity, node_codes.codes, len(node_codes.tuples), distinct
+        )
+        edge_rows, _, sources, targets = _edge_appearances(
+            graph, node_codes, positions
+        )
+        metrics.inc("aggregate.appearances", len(edge_rows))
+        pair_codes, pairs = _edge_pairs(node_codes, sources, targets)
+        pair_counts = _count(edge_rows, pair_codes, len(pairs), distinct)
     with trace_span("aggregate.assemble"):
         node_weights = dict(zip(node_codes.tuples, node_counts.tolist()))
         edge_weights = dict(zip(pairs, pair_counts.tolist()))
-    return node_weights, edge_weights
-
-
-# ----------------------------------------------------------------------
-# Parallel partials
-#
-# The kernel decomposes over *entity rows*: a node's (or edge's)
-# contribution to the weight maps depends only on its own presence row
-# and attribute values, and DIST deduplication is always intra-entity.
-# Partitioning the row range therefore never splits a dedup group across
-# chunks, and partial weight dicts merge by plain summation for DIST and
-# ALL alike — which is what makes the parallel result bit-identical to
-# the serial one.
-# ----------------------------------------------------------------------
-
-#: ``(graph, attributes, window, distinct)`` — the read-only payload
-#: shared with every partial worker.
-_PartialPayload = tuple[TemporalGraph, tuple[str, ...], TimeSet, bool]
-#: ``(kind, start, stop)`` — one slice of node or edge row indices.
-_PartialTask = tuple[str, int, int]
-
-
-def _partial_weights(
-    payload: _PartialPayload, task: _PartialTask
-) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
-    """Chunk worker: the weights contributed by one slice of entity rows.
-
-    Module-level (and closed over nothing) so the process pool can pickle
-    it; :class:`~repro.parallel.InlineExecutor` runs the very same
-    function, which is what the parity suite leans on.
-    """
-    graph, attributes, window, distinct = payload
-    return _weights(graph, attributes, window, distinct, task)
-
-
-def _weights_parallel(
-    graph: TemporalGraph,
-    attributes: Sequence[str],
-    window: TimeSet,
-    distinct: bool,
-    executor: Executor,
-) -> tuple[dict[AttributeTuple, int], dict[EdgeKey, int]]:
-    """Fan the kernel out over entity-row slices and merge."""
-    tasks: list[_PartialTask] = [
-        ("node", chunk.start, chunk.stop)
-        for chunk in plan_chunks(graph.n_nodes, executor.workers)
-    ]
-    tasks += [
-        ("edge", chunk.start, chunk.stop)
-        for chunk in plan_chunks(graph.n_edges, executor.workers)
-    ]
-    payload: _PartialPayload = (graph, tuple(attributes), window, distinct)
-    node_weights: dict[AttributeTuple, int] = {}
-    edge_weights: dict[EdgeKey, int] = {}
-    for partial_nodes, partial_edges in executor.map(
-        _partial_weights, tasks, payload
-    ):
-        for key, weight in partial_nodes.items():
-            node_weights[key] = node_weights.get(key, 0) + weight
-        for edge_key, weight in partial_edges.items():
-            edge_weights[edge_key] = edge_weights.get(edge_key, 0) + weight
     return node_weights, edge_weights
 
 
@@ -572,8 +475,6 @@ def aggregate(
     attributes: Sequence[str],
     distinct: bool = True,
     times: Iterable[Hashable] | None = None,
-    *,
-    parallelism: int | str | None = None,
 ) -> AggregateGraph:
     """Aggregate a temporal graph on the given attributes (Definition 2.6).
 
@@ -591,11 +492,6 @@ def aggregate(
         timeline (which, for operator outputs, is the operator's interval).
         Aggregating a graph over a window equals aggregating its union
         over that window.
-    parallelism:
-        ``None`` (ambient default — see :mod:`repro.parallel`), a worker
-        count, or ``"auto"``.  Implicit defaults only engage the pool
-        when the graph is large enough to amortize startup; the result
-        is bit-identical either way.
 
     Returns
     -------
@@ -606,35 +502,30 @@ def aggregate(
     for name in attributes:
         graph.is_static(name)  # validates names
     get_metrics().inc("aggregate.calls")
-    n_entities = len(graph.node_presence.row_labels) + len(
-        graph.edge_presence.row_labels
-    )
-    executor = get_executor(
-        parallelism, task_hint=n_entities * max(1, len(window))
-    )
     with trace_span(
         "aggregate",
         distinct=distinct,
         attributes=tuple(attributes),
         n_times=len(window),
-        workers=executor.workers,
     ):
-        # Structural validation happens parent-side before any dispatch,
-        # so a dangling edge raises the same error with or without a pool.
         check_no_dangling_edges(graph)
-        if isinstance(executor, InlineExecutor):
-            node_weights, edge_weights = _weights(
-                graph, attributes, window, distinct
-            )
-        else:
-            node_weights, edge_weights = _weights_parallel(
-                graph, attributes, window, distinct, executor
-            )
+        node_weights, edge_weights = _weights(graph, attributes, window, distinct)
         get_metrics().inc(
             "aggregate.groups", len(node_weights) + len(edge_weights)
         )
         return AggregateGraph(
             tuple(attributes), node_weights, edge_weights, distinct=distinct
+        )
+
+
+def _check_attribute_names(attributes: Sequence[str]) -> None:
+    """Reject a bare ``str``/``bytes`` passed as the ``attributes``
+    sequence: ``"gender"`` would otherwise be read as the attribute
+    names ``"g"``, ``"e"``, ``"n"`` and so on."""
+    if isinstance(attributes, (str, bytes)):
+        raise AggregationError(
+            "attributes must be a sequence of attribute names, got the "
+            f"bare string {attributes!r}"
         )
 
 
@@ -650,6 +541,7 @@ def validated_window(
     or unordered time points must not change weights (ALL mode would
     otherwise double-count every repeated point).
     """
+    _check_attribute_names(attributes)
     if not attributes:
         raise AggregationError("aggregation needs at least one attribute")
     if len(set(attributes)) != len(attributes):

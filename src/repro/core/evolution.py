@@ -27,6 +27,7 @@ import numpy as np
 from .aggregation import (
     AttributeTuple,
     EdgeKey,
+    _check_attribute_names,
     _edge_appearances,
     _edge_pairs,
     _tuple_codes,
@@ -267,6 +268,7 @@ def aggregate_evolution(
     three event classes are set operations over those keys.  Edges with a
     dangling endpoint are skipped, not rejected: no tuple exists for them.
     """
+    _check_attribute_names(attributes)
     if not attributes:
         raise ValidationError("evolution aggregation needs at least one attribute")
     old = ordered_times(graph, old_times)

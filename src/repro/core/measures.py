@@ -32,6 +32,7 @@ from .aggregation import (
     AttributeTuple,
     EdgeKey,
     _appearance_values,
+    _check_attribute_names,
     _edge_appearances,
     _edge_pairs,
     _factorize,
@@ -171,6 +172,7 @@ def aggregate_measure(
         >>> mg.node(("m",))
         3.0
     """
+    _check_attribute_names(attributes)
     if measure not in MEASURES:
         raise AggregationError(
             f"unknown measure {measure!r}; choose from {sorted(MEASURES)}"
@@ -239,6 +241,7 @@ def aggregate_edge_measure(
     grouped pair; ``distinct=False`` counts it once per appearance (per
     time point the edge is active).
     """
+    _check_attribute_names(attributes)
     if graph.edge_attrs is None:
         raise AggregationError("this graph has no edge attributes")
     if measure not in MEASURES:

@@ -44,10 +44,17 @@ def ordered_times(
     """The union of the given time sets, ordered by the graph's timeline.
 
     Validates every label against the timeline, so a typo'd time point
-    fails loudly instead of silently selecting nothing.
+    fails loudly instead of silently selecting nothing, and rejects a
+    bare ``str``/``bytes`` time set, whose characters would otherwise be
+    read as time points.
     """
     wanted = set()
     for time_set in time_sets:
+        if isinstance(time_set, (str, bytes)):
+            raise TemporalError(
+                "a time set must be a sequence of time points, got the "
+                f"bare string {time_set!r}"
+            )
         for label in time_set:
             graph.timeline.index_of(label)
             wanted.add(label)

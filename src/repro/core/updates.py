@@ -68,7 +68,7 @@ class SnapshotUpdate:
         # ``edges`` would otherwise be consumed on first use, so replaying
         # the same update into a second store (or retrying after a failed
         # append) would silently drop every edge.  Plain dicts/tuples (not
-        # MappingProxyType) keep updates picklable for worker processes.
+        # MappingProxyType) keep updates picklable.
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(
             self, "nodes", {n: dict(v) for n, v in self.nodes.items()}
@@ -277,13 +277,21 @@ def split_history(
     Replaying the updates through :func:`append_snapshot` (or
     :meth:`repro.streaming.StreamingStore.from_history`) rebuilds a graph
     observably equal to the input — the replay identity the differential
-    fuzz laws check for the streaming store.
+    fuzz laws check for the streaming store.  No snapshot carries a node
+    or edge present at no time point, so the first point keeps those,
+    together with the endpoints of such edges.
     """
     labels = graph.timeline.labels
     first = labels[0]
+    node_presence, edge_presence = graph.node_presence, graph.edge_presence
+    edges = edge_presence.any_mask([first]) | ~edge_presence.any_mask()
+    nodes = node_presence.any_mask([first]) | ~node_presence.any_mask()
+    sources, targets = graph.storage.edge_endpoint_rows()
+    for rows in (sources[edges], targets[edges]):
+        nodes[rows[rows >= 0]] = True
     initial = graph.restricted(
-        graph.node_presence.rows_any([first]),
-        graph.edge_presence.rows_any([first]),
+        [label for label, keep in zip(node_presence.row_labels, nodes) if keep],
+        [label for label, keep in zip(edge_presence.row_labels, edges) if keep],
         [first],
     )
     return initial, [snapshot_at(graph, t) for t in labels[1:]]

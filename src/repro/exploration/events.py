@@ -661,18 +661,12 @@ class ChainEvaluator:
                     reference_mask,
                 )
 
-    def consecutive(
-        self, start: int = 0, stop: int | None = None
-    ) -> Iterator[ChainStep]:
+    def consecutive(self) -> Iterator[ChainStep]:
         """Consecutive point pairs ``(T_i, T_{i+1})`` — threshold
         initialization (Section 3.5) and the degenerate minimal cases.
-        Each presence column is sliced once and shared by its two pairs.
-        ``start``/``stop`` bound the reference indices ``i`` (defaults:
-        every pair), letting the parallel explorer hand each chunk a
-        slice of the references."""
+        Each presence column is sliced once and shared by its two pairs."""
         presence = self._presence()
-        last = presence.shape[1] - 1 if stop is None else stop
-        for i in range(start, last):
+        for i in range(presence.shape[1] - 1):
             yield self._step(
                 Side.point(i),
                 Side.point(i + 1),

@@ -47,7 +47,6 @@ from typing import Any
 import numpy as np
 
 from ..core import Interval, TemporalGraph
-from ..parallel import InlineExecutor, get_executor, plan_chunks
 from .events import (
     ChainEvaluator,
     ChainStep,
@@ -184,8 +183,8 @@ def table1_strategy(event: EventType, goal: Goal, extend: ExtendSide) -> Strateg
 # The exploration kernel
 #
 # Every Table-1 strategy iterates independent reference points.  The
-# kernel advances all of a slice's references together, one chain level
-# per numpy op, over the storage's time-major presence bits
+# kernel advances all references together, one chain level per numpy
+# op, over the storage's time-major presence bits
 # (``GraphStorageBackend.presence_bits``): each level ORs/ANDs one
 # gathered time row into every live chain's extended side and counts the
 # whole level with one popcount.  Rows leave the live set under the
@@ -193,36 +192,40 @@ def table1_strategy(event: EventType, goal: Goal, extend: ExtendSide) -> Strateg
 # ``evaluations`` and the ``exploration.*`` counters — are exactly those
 # of the per-step walk (``repro.testing.reference_explore``).
 #
-# The kernel takes a reference range ``[start, stop)``: the serial path
-# runs it over ``(0, references)``, a pool over the chunk planner's
-# partition, concatenated in chunk order — hence bit-identical.  It
-# returns ``(pairs, evaluations)``; counters accumulate in the worker
-# registry and are merged back by the pool.
+# The kernel walks a reference range ``[start, stop)``; every strategy
+# runs it once over ``(0, references)`` and gets ``(pairs,
+# evaluations)`` back.
 # ----------------------------------------------------------------------
 
-#: ``(counter, event, strategy, extend, k)`` — shared with every chunk.
-_KernelPayload = tuple[EventCounter, EventType, Strategy, ExtendSide, int]
-#: One slice ``(start, stop)`` of chain reference indices.
-_ReferenceRange = tuple[int, int]
-_ChunkResult = tuple[list[IntervalPairResult], int]
+_KernelResult = tuple[list[IntervalPairResult], int]
 
 
-def _explore_chunk(payload: _KernelPayload, task: _ReferenceRange) -> _ChunkResult:
-    """The exploration kernel over one slice of reference points."""
-    counter, event, strategy, extend, k = payload
-    start, stop = task
-    if stop <= start:
-        return [], 0
+def _references(counter: EventCounter) -> int:
+    """How many reference points a chain can start from."""
+    return max(0, len(counter.graph.timeline) - 1)
+
+
+def _run_strategy(
+    counter: EventCounter,
+    event: EventType,
+    strategy: Strategy,
+    extend: ExtendSide,
+    k: int,
+) -> tuple[tuple[IntervalPairResult, ...], int]:
+    """The exploration kernel over every reference point."""
+    references = _references(counter)
+    if not references:
+        return (), 0
     if strategy is Strategy.U_EXPLORE or strategy is Strategy.I_EXPLORE:
         pairs, evaluations = _walk_chains(
-            counter, event, strategy is Strategy.U_EXPLORE, extend, k, start, stop
+            counter, event, strategy is Strategy.U_EXPLORE, extend, k, 0, references
         )
     else:
         pairs, evaluations = _walk_degenerate(
-            counter, event, strategy, extend, k, start, stop
+            counter, event, strategy, extend, k, 0, references
         )
     get_metrics().inc("exploration.chain_steps", evaluations)
-    return pairs, evaluations
+    return tuple(pairs), evaluations
 
 
 def _chain_sides(
@@ -271,7 +274,7 @@ def _walk_chains(
     k: int,
     start: int,
     stop: int,
-) -> _ChunkResult:
+) -> _KernelResult:
     """U-Explore (``union``) or I-Explore, level-synchronous.
 
     ``refs`` lists the live chains' reference points in ascending order;
@@ -376,7 +379,7 @@ def _walk_degenerate(
     k: int,
     start: int,
     stop: int,
-) -> _ChunkResult:
+) -> _KernelResult:
     """Consecutive pairs (one ``W[:-1]``/``W[1:]`` op) or longest
     intersection extensions (one ``bitwise_and.accumulate``)."""
     bits = counter.presence_bits()
@@ -413,65 +416,21 @@ def _walk_degenerate(
     return pairs, stop - start
 
 
-def _run_strategy(
-    chunk_fn: Any,
-    payload: Any,
-    counter: EventCounter,
-    parallelism: int | str | None,
-) -> tuple[tuple[IntervalPairResult, ...], int]:
-    """Run a ranged chunk worker over every reference point.
-
-    Serial executors get one call over the full range; pools get the
-    range partitioned by the chunk planner and the slices' results
-    concatenated in chunk order.
-    """
-    n_times = len(counter.graph.timeline)
-    references = max(0, n_times - 1)
-    n_rows = (
-        counter.graph.n_nodes
-        if counter.entity is EntityKind.NODES
-        else counter.graph.n_edges
-    )
-    executor = get_executor(
-        parallelism, task_hint=references * n_times * max(1, n_rows)
-    )
-    if isinstance(executor, InlineExecutor):
-        pairs, evaluations = chunk_fn(payload, (0, references))
-        return tuple(pairs), evaluations
-    tasks = [
-        (chunk.start, chunk.stop)
-        for chunk in plan_chunks(references, executor.workers)
-    ]
-    results = executor.map(chunk_fn, tasks, payload)
-    pairs = []
-    evaluations = 0
-    for chunk_pairs, chunk_evaluations in results:
-        pairs.extend(chunk_pairs)
-        evaluations += chunk_evaluations
-    return tuple(pairs), evaluations
-
-
 def u_explore(
     counter: EventCounter,
     event: EventType,
     extend: ExtendSide,
     k: int,
-    *,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Union Exploration (Section 3.2): minimal pairs with >= k events.
 
     The extended side walks its union semi-lattice; counts are
     monotonically increasing along the chain, so the first pair reaching
     ``k`` is the minimal one for its reference point and the rest of the
-    chain is pruned.  Reference points are independent, so a pool
-    distributes them without touching the per-chain pruning.
+    chain is pruned.
     """
     pairs, evaluations = _run_strategy(
-        _explore_chunk,
-        (counter, event, Strategy.U_EXPLORE, extend, k),
-        counter,
-        parallelism,
+        counter, event, Strategy.U_EXPLORE, extend, k
     )
     return ExplorationResult(event, Goal.MINIMAL, extend, k, pairs, evaluations)
 
@@ -481,8 +440,6 @@ def i_explore(
     event: EventType,
     extend: ExtendSide,
     k: int,
-    *,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Intersection Exploration (Section 3.2): maximal pairs with >= k.
 
@@ -493,10 +450,7 @@ def i_explore(
     pruned entirely (step 2 of the paper's algorithm).
     """
     pairs, evaluations = _run_strategy(
-        _explore_chunk,
-        (counter, event, Strategy.I_EXPLORE, extend, k),
-        counter,
-        parallelism,
+        counter, event, Strategy.I_EXPLORE, extend, k
     )
     return ExplorationResult(event, Goal.MAXIMAL, extend, k, pairs, evaluations)
 
@@ -510,8 +464,6 @@ def explore(
     entity: EntityKind = EntityKind.EDGES,
     attributes: Sequence[str] = (),
     key: Any = None,
-    *,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Run one of the eight Table-1 exploration cases.
 
@@ -529,11 +481,6 @@ def explore(
         What to count — e.g. ``entity=EDGES, attributes=["gender"],
         key=(("f",), ("f",))`` counts female-female edges as in the
         paper's Figures 13/14.
-    parallelism:
-        ``None`` (ambient default — see :mod:`repro.parallel`), a worker
-        count, or ``"auto"``.  Chains are distributed over reference
-        points; the per-chain U-/I-Explore pruning is untouched and the
-        result is bit-identical to a serial run.
     """
     if k < 1:
         raise ExplorationError(f"threshold k must be positive, got {k}")
@@ -543,26 +490,25 @@ def explore(
     ):
         counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
         pairs, evaluations = _run_strategy(
-            _explore_chunk,
-            (counter, event, table1_strategy(event, goal, extend), extend, k),
-            counter,
-            parallelism,
+            counter, event, table1_strategy(event, goal, extend), extend, k
         )
         return ExplorationResult(event, goal, extend, k, pairs, evaluations)
 
 
-def _exhaustive_chunk(
-    payload: tuple[EventCounter, EventType, Goal, ExtendSide, int, bool],
-    task: _ReferenceRange,
-) -> _ChunkResult:
-    """The oracle explorer's unpruned walk over one reference slice."""
-    counter, event, goal, extend, k, incremental = payload
-    start, stop = task
+def _exhaustive_walk(
+    counter: EventCounter,
+    event: EventType,
+    goal: Goal,
+    extend: ExtendSide,
+    k: int,
+    incremental: bool,
+) -> _KernelResult:
+    """The oracle explorer's unpruned walk over every reference point."""
     evaluator = ChainEvaluator(counter, event, incremental=incremental)
     semantics = Semantics.UNION if goal is Goal.MINIMAL else Semantics.INTERSECTION
     pairs: list[IntervalPairResult] = []
     evaluations = 0
-    for reference in range(start, stop):
+    for reference in range(_references(counter)):
         passing: list[IntervalPairResult] = []
         for step in evaluator.chain(reference, extend, semantics):
             evaluations += 1
@@ -593,7 +539,6 @@ def exhaustive_explore(
     key: Any = None,
     *,
     incremental: bool = True,
-    parallelism: int | str | None = None,
 ) -> ExplorationResult:
     """Oracle explorer: evaluates *every* pair in the case's candidate
     space and selects minimal/maximal pairs by definition.
@@ -614,10 +559,9 @@ def exhaustive_explore(
         k=k,
     ):
         counter = EventCounter(graph, entity=entity, attributes=attributes, key=key)
-        pairs, evaluations = _run_strategy(
-            _exhaustive_chunk,
-            (counter, event, goal, extend, k, incremental),
-            counter,
-            parallelism,
+        pairs, evaluations = _exhaustive_walk(
+            counter, event, goal, extend, k, incremental
         )
-        return ExplorationResult(event, goal, extend, k, pairs, evaluations)
+        return ExplorationResult(
+            event, goal, extend, k, tuple(pairs), evaluations
+        )

@@ -8,9 +8,9 @@ mutate their input frames, hot paths must stay vectorized numpy
 (GT001–GT006), the whole-program layer builds a cross-module symbol
 table and call graph (:mod:`repro.lint.callgraph`), infers transitive
 purity (:mod:`repro.lint.purity`), and enforces the concurrency
-contracts :mod:`repro.parallel` relies on (GT007–GT012): fork-safe
-workers, read-only shared payloads, no mutable module globals, guarded
-singleton swaps, pure operator contexts, no unguarded shared state.
+contracts the threaded serving layer relies on (GT009–GT012): no
+mutable module globals, guarded singleton swaps, pure operator
+contexts, no unguarded shared state.
 
 Programmatic use::
 

@@ -1,11 +1,11 @@
 """Cross-module symbol table and call graph for the whole-program rules.
 
 The per-module rules (GT001-GT006) only ever look at one AST at a time.
-The concurrency and purity rules (GT007-GT012) need to answer questions
-like "what does this operator transitively call?" and "is the function
-submitted to the executor defined at module level?", which requires a
-view of the *program*: every linted module, its top-level symbols, its
-imports, and a resolved call graph.
+The concurrency and purity rules (GT009-GT012) need to answer questions
+like "what does this operator transitively call?" and "which functions
+rebind this module global?", which requires a view of the *program*:
+every linted module, its top-level symbols, its imports, and a resolved
+call graph.
 
 :func:`build_program` turns the engine's loaded :class:`~repro.lint.engine.Module`
 list into a :class:`Program`:

@@ -38,7 +38,7 @@ __all__ = ["DEFAULTS", "LintConfig", "RuleSettings", "load_config"]
 DEFAULTS: dict[str, Any] = {
     "select": [
         "GT001", "GT002", "GT003", "GT004", "GT005", "GT006",
-        "GT007", "GT008", "GT009", "GT010", "GT011", "GT012",
+        "GT009", "GT010", "GT011", "GT012",
     ],
     "exclude": [],
     "GT001": {
@@ -114,22 +114,6 @@ DEFAULTS: dict[str, Any] = {
         "modules": ["repro.*"],
         "exempt": ["repro.cli", "repro.__main__", "repro.lint.cli"],
     },
-    "GT007": {
-        "modules": ["repro.*"],
-        "exempt": [],
-        "submit_attrs": ["map", "submit"],
-        "receiver_hints": ["executor", "pool"],
-        "factory_calls": ["get_executor", "shared_fabric", "ShardedExecutor", "InlineExecutor"],
-        "max_indirection": 3,
-    },
-    "GT008": {
-        "modules": ["repro.*"],
-        "exempt": [],
-        "submit_attrs": ["map", "submit"],
-        "receiver_hints": ["executor", "pool"],
-        "factory_calls": ["get_executor", "shared_fabric", "ShardedExecutor", "InlineExecutor"],
-        "max_indirection": 3,
-    },
     "GT009": {
         "modules": ["repro.*"],
         "exempt": [],
@@ -160,9 +144,9 @@ DEFAULTS: dict[str, Any] = {
             "repro.core.evolution",
         ],
         "exempt": [],
-        # Sanctioned instrumentation and fan-out machinery: effects are
-        # parity-tested and invisible to operator results.
-        "allowed_impure": ["repro.obs.*", "repro.parallel.*"],
+        # Sanctioned instrumentation: its effects are invisible to
+        # operator results.
+        "allowed_impure": ["repro.obs.*"],
     },
     "GT012": {
         "modules": ["repro.*"],

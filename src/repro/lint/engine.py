@@ -117,7 +117,7 @@ class Rule:
 
 
 class ProgramRule(Rule):
-    """A rule that needs the whole-program view (GT007-GT012).
+    """A rule that needs the whole-program view (GT009-GT012).
 
     Before per-module dispatch the engine builds one
     :class:`~repro.lint.callgraph.Program` over every successfully

@@ -15,7 +15,6 @@ overhead budget (see ``benchmarks/bench_obs_overhead.py``).
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 from typing import Any
 
 __all__ = [
@@ -67,7 +66,7 @@ class TimingHistogram:
         return self.total / self.count if self.count else 0.0
 
     def dump(self) -> dict[str, Any]:
-        """The raw internal state (for cross-process merging)."""
+        """The raw internal state, bucket counts included."""
         return {
             "count": self.count,
             "total": self.total,
@@ -75,16 +74,6 @@ class TimingHistogram:
             "max": self.max,
             "buckets": list(self._buckets),
         }
-
-    def merge(self, dump: Mapping[str, Any]) -> None:
-        """Fold another histogram's :meth:`dump` into this one."""
-        self.count += dump["count"]
-        self.total += dump["total"]
-        if dump["count"]:
-            self.min = min(self.min, dump["min"])
-            self.max = max(self.max, dump["max"])
-        for i, n in enumerate(dump["buckets"]):
-            self._buckets[i] += n
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-serializable summary of the samples seen so far."""
@@ -166,10 +155,10 @@ class MetricsRegistry:
         }
 
     def dump(self) -> dict[str, Any]:
-        """The registry's raw state, for :meth:`merge` across processes.
+        """The registry's raw state.
 
         Unlike :meth:`snapshot` (a presentation format), the dump keeps
-        histograms as raw bucket arrays so merging is exact.
+        histograms as raw bucket arrays.
         """
         return {
             "counters": dict(self._counters),
@@ -179,25 +168,6 @@ class MetricsRegistry:
                 for name, histogram in self._timings.items()
             },
         }
-
-    def merge(self, dump: Mapping[str, Any]) -> None:
-        """Fold another registry's :meth:`dump` into this one.
-
-        Counters and histogram samples add; gauges are last-write-wins
-        (the merged dump's value overwrites).  This is how
-        :class:`~repro.parallel.ShardedExecutor` re-homes each worker
-        chunk's metric delta, so a parallel run's totals equal the
-        serial run's.
-        """
-        for name, value in dump["counters"].items():
-            self.inc(name, value)
-        for name, value in dump["gauges"].items():
-            self.gauge(name, value)
-        for name, timing_dump in dump["timings"].items():
-            histogram = self._timings.get(name)
-            if histogram is None:
-                histogram = self._timings[name] = TimingHistogram()
-            histogram.merge(timing_dump)
 
     def reset(self) -> None:
         """Drop every metric (tests and per-run profiling)."""
@@ -218,10 +188,9 @@ def get_metrics() -> MetricsRegistry:
 def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
     """Swap the process-wide registry; returns the previous one.
 
-    The swap happens under a lock so concurrent swappers (tests, worker
-    initialisation, future serving sessions) see a consistent
-    previous/next pair; readers stay lock-free — a module-global load is
-    atomic under the GIL.
+    The swap happens under a lock so concurrent swappers (tests, serving
+    sessions) see a consistent previous/next pair; readers stay lock-free
+    — a module-global load is atomic under the GIL.
     """
     global _registry
     with _registry_lock:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..parallel import parallelism_scope
 from .export import observability_snapshot
 from .metrics import MetricsRegistry, set_metrics
 from .trace import Span, Tracer, set_tracer
@@ -42,7 +41,6 @@ class ProfileReport:
     trace: Span | None
     metrics: dict[str, Any]
     summary: dict[str, Any]
-    workers: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """The JSON artifact shape benchmarks and CI attach."""
@@ -50,7 +48,6 @@ class ProfileReport:
             "dataset": self.dataset,
             "workload": self.workload,
             "scale": self.scale,
-            "workers": self.workers,
             "summary": dict(self.summary),
         }
         payload.update(
@@ -128,16 +125,12 @@ def run_profile(
     dataset: str,
     workload: str,
     scale: float = 0.05,
-    workers: int | str | None = None,
 ) -> ProfileReport:
     """Profile one workload over one dataset.
 
     Installs a fresh enabled tracer and a fresh metrics registry for the
     duration of the run (restoring the previous ones afterwards), so the
-    returned report covers exactly this workload.  ``workers`` runs the
-    workload inside a :func:`repro.parallel.parallelism_scope`, so the
-    trace shows the pool's re-parented chunk spans (``repro profile
-    --workers N``); results are identical at any worker count.
+    returned report covers exactly this workload.
     """
     if workload not in WORKLOADS:
         raise ConfigurationError(
@@ -149,8 +142,7 @@ def run_profile(
     previous_tracer = set_tracer(tracer)
     previous_metrics = set_metrics(registry)
     try:
-        with parallelism_scope(workers) as resolved_workers:
-            summary = _run_workload(workload, graph, tracer)
+        summary = _run_workload(workload, graph, tracer)
     finally:
         set_tracer(previous_tracer)
         set_metrics(previous_metrics)
@@ -162,5 +154,4 @@ def run_profile(
         trace=tracer.last_root,
         metrics=snapshot["metrics"],
         summary=summary,
-        workers=resolved_workers,
     )

@@ -170,23 +170,6 @@ class Tracer:
             return _NULL_HANDLE
         return SpanHandle(self, Span(name, dict(attributes)))
 
-    def attach(self, span: Span) -> None:
-        """Adopt an externally completed span tree into the live trace.
-
-        The span becomes a child of the currently open span (or the new
-        ``last_root`` when none is open).  Used by
-        :class:`~repro.parallel.ShardedExecutor` to re-parent worker
-        span trees into the main trace; unlike :meth:`_close`, no timing
-        metric is recorded — the worker already observed its own spans
-        into the metrics delta the parent merges.
-        """
-        if not self.enabled:
-            return
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.last_root = span
-
     def _close(self, span: Span) -> None:
         stack = self._stack
         if stack and stack[-1] is span:
@@ -210,10 +193,9 @@ def get_tracer() -> Tracer:
 def set_tracer(tracer: Tracer) -> Tracer:
     """Swap the process-wide tracer; returns the previous one.
 
-    The swap happens under a lock so concurrent swappers (tests, worker
-    initialisation, future serving sessions) see a consistent
-    previous/next pair; readers stay lock-free — a module-global load is
-    atomic under the GIL.
+    The swap happens under a lock so concurrent swappers (tests, serving
+    sessions) see a consistent previous/next pair; readers stay lock-free
+    — a module-global load is atomic under the GIL.
     """
     global _tracer
     with _tracer_lock:

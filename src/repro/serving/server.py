@@ -35,7 +35,6 @@ from ..core.granularity import TimeHierarchy
 from ..obs.metrics import get_metrics
 from ..obs.trace import trace_span
 from ..olap.cube import TemporalGraphCube
-from ..parallel import Executor, executor_scope
 from ..query.ast import QueryExpr
 from ..query.parser import parse
 from ..streaming import GraphVersion, StreamingStore
@@ -97,16 +96,6 @@ class QueryServer:
         Result-cache entries to keep (0 disables result caching).
     parse_capacity:
         Parsed-AST LRU entries to keep (0 disables parse caching).
-    executor:
-        Pin every request's fan-outs to one executor instance —
-        typically a shared persistent
-        :class:`~repro.parallel.ShardedExecutor`, so many concurrent
-        request threads multiplex onto one warm pool instead of each
-        forking its own.  ``None`` (default) leaves fan-out resolution
-        to the ambient rules (:func:`repro.parallel.get_executor`).
-        The server follows appends but does not own the executor: close
-        the fabric separately (or via
-        :func:`repro.parallel.close_shared_fabrics`).
 
     Requests never block appends and appends never block requests: the
     state swap is one attribute assignment under a small lock, and every
@@ -120,14 +109,12 @@ class QueryServer:
         hierarchy: TimeHierarchy | None = None,
         cache_capacity: int = 512,
         parse_capacity: int = 256,
-        executor: Executor | None = None,
     ) -> None:
         if parse_capacity < 0:
             raise ConfigurationError(
                 f"parse capacity must be >= 0, got {parse_capacity}"
             )
         self.hierarchy = hierarchy
-        self.executor = executor
         self.cache = ResultCache(cache_capacity)
         self._lock = threading.Lock()
         self._parse_capacity = parse_capacity
@@ -231,12 +218,6 @@ class QueryServer:
 
     def serve_expr(self, expr: QueryExpr) -> Served:
         """Serve one parsed query expression (see :meth:`serve`)."""
-        if self.executor is not None:
-            with executor_scope(self.executor):
-                return self._serve_expr(expr)
-        return self._serve_expr(expr)
-
-    def _serve_expr(self, expr: QueryExpr) -> Served:
         state = self._state  # one snapshot; the request stays on it
         metrics = get_metrics()
         with trace_span("serving.query", version=state.version):

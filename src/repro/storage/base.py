@@ -99,7 +99,7 @@ class GraphStorageBackend(ABC):
     identical reconstructed frames, identical taxonomy errors on the
     same inputs.  Backends are value-like once constructed — nothing in
     the reader API mutates them — so a backend instance may be shared
-    between a graph, its restrictions and forked workers.
+    between a graph and its restrictions.
     """
 
     #: Registry key; subclasses override.
@@ -255,10 +255,9 @@ class GraphStorageBackend(ABC):
         ``entity="nodes"`` keeps ``node_labels[start:stop]`` (presence,
         static and time-varying attributes), leaving the timeline and
         the edge axis whole — an edge whose endpoint fell outside the
-        shard reports ``-1`` from :meth:`edge_endpoint_rows`, per that
+        slice reports ``-1`` from :meth:`edge_endpoint_rows`, per that
         contract.  ``entity="edges"`` slices the edge axis instead.
-        Empty ranges produce a valid empty-axis backend, so a shard plan
-        with more shards than rows stays total.  The slice is rebuilt
+        Empty ranges produce a valid empty-axis backend.  The slice is rebuilt
         through ``from_frames`` so it is a first-class backend of the
         same physical layout.
         """
@@ -343,8 +342,8 @@ class GraphStorageBackend(ABC):
         if bits is None:
             bits = cache[entity] = _pack_time_major(self.presence_matrix(entity))
         elif bits.flags.writeable:
-            # Unpickling (a pool worker's copy of the backend) drops the
-            # read-only flag; restore it before handing the array out.
+            # Unpickling a copy of the backend drops the read-only
+            # flag; restore it before handing the array out.
             bits.flags.writeable = False
         return bits
 

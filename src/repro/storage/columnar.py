@@ -22,9 +22,8 @@ Physical layout, per graph:
   array as a ``.npy`` file; :meth:`ColumnarBackend.open` reloads them
   with ``mmap_mode="r"``, so graphs larger than RAM load lazily and the
   mapping is enforced read-only.  A memmapped backend pickles as its
-  *path* and reopens on unpickle, so ``repro.parallel`` workers — forked
-  or spawned — share the same pages instead of copying arrays (the
-  GT007 fork-safety contract).
+  *path* and reopens on unpickle, so a copy in another process maps the
+  same pages instead of carrying the arrays.
 
 Every primitive is bit-exact with :class:`~repro.storage.dense.DenseBackend`;
 the conformance suite (``tests/test_storage_conformance.py``) and the
@@ -190,7 +189,7 @@ class ColumnarBackend(GraphStorageBackend):
         )
         self._edge_attr_pools = edge_attr_pools
         #: Directory this backend was opened from (memmapped backends
-        #: pickle as their path and reopen, so workers share pages).
+        #: pickle as their path and reopen, sharing the mapped pages).
         self._path = path
         self._mmap = mmap
 
@@ -613,7 +612,7 @@ class ColumnarBackend(GraphStorageBackend):
         return numeric
 
     # ------------------------------------------------------------------
-    # Pickling (fork/spawn worker transport, GT007)
+    # Pickling
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:

@@ -29,7 +29,12 @@ from .generators import (
 from .laws import Law, get_laws, law_registry, register_law
 from .reference_explore import reference_explore
 from . import oracle as _oracle  # noqa: F401  (registers differential laws)
-from .shrink import reproducer_snippet, shrink_graph, write_reproducer
+from .shrink import (
+    failure_signature,
+    reproducer_snippet,
+    shrink_graph,
+    write_reproducer,
+)
 from .fuzz import HOSTILE_EVERY, FuzzFailure, FuzzReport, run_fuzz
 
 try:
@@ -61,6 +66,7 @@ __all__ = [
     "reference_explore",
     "reproducer_snippet",
     "shrink_graph",
+    "failure_signature",
     "write_reproducer",
     "FuzzFailure",
     "FuzzReport",

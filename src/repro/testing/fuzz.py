@@ -9,9 +9,9 @@ is replayable from the report alone.  Every fourth case is hostile
 there.  The second case of every four blanks some present time-varying
 cells to ``None``, a well-formed shape every law must handle.
 
-Failures are shrunk to a minimal graph (:func:`repro.testing.shrink_graph`)
-and, when ``out_dir`` is given, written to disk as standalone reproducer
-scripts.
+Failures are shrunk to a minimal graph that fails the same way
+(:func:`repro.testing.shrink_graph`) and, when ``out_dir`` is given,
+written to disk as standalone reproducer scripts.
 """
 
 from __future__ import annotations
@@ -154,15 +154,13 @@ def run_fuzz(
             culprit = graph
             if shrink:
 
-                def reproduces(
+                def check(
                     g: TemporalGraph, law: Law = law, idx: int = law_index
-                ) -> bool:
-                    return _check_once(law, g, seed, case, idx) is not None
+                ) -> str | None:
+                    return _check_once(law, g, seed, case, idx)
 
-                culprit = shrink_graph(graph, reproduces)
-                message = (
-                    _check_once(law, culprit, seed, case, law_index) or message
-                )
+                culprit = shrink_graph(graph, check)
+                message = check(culprit) or message
             reproducer = None
             if out_dir is not None:
                 reproducer = write_reproducer(

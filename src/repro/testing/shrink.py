@@ -4,36 +4,66 @@ When a law fails on a random graph, the raw counterexample is noise: a
 handful of nodes and time points usually suffice to trigger the bug.
 :func:`shrink_graph` is delta-debugging lite — repeatedly drop one edge,
 one node (with its incident edges) or one time column, keep the removal
-whenever the failure still reproduces, and stop at a fixed point.  The
-result is written to disk as a runnable Python snippet built on
+whenever the law still fails *the same way*, and stop at a fixed point.
+"The same way" compares the messages' :func:`failure_signature`, with
+their numbers and reprs masked, so a reduction may change which entity
+or how many diverge but not which check fails.  The result is written
+to disk as a runnable Python snippet built on
 :func:`repro.testing.graph_from_maps`, so a failure found by CI can be
 replayed locally with no fuzzing infrastructure at all.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Hashable
 from pathlib import Path
 
 from ..core import TemporalGraph
 from .generators import graph_to_maps
 
-__all__ = ["shrink_graph", "reproducer_snippet", "write_reproducer"]
+__all__ = [
+    "failure_signature",
+    "shrink_graph",
+    "reproducer_snippet",
+    "write_reproducer",
+]
 
-Predicate = Callable[[TemporalGraph], bool]
+#: A law check bound to its RNG seeding: the failure message, or
+#: ``None`` when the law holds.
+Check = Callable[[TemporalGraph], str | None]
+
+_QUOTED = re.compile(r"'[^']*'|\"[^\"]*\"")
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+_BRACKETED = re.compile(r"\([^()]*\)|\[[^\[\]]*\]|\{[^{}]*\}|<[^<>]*>")
 
 
-def _still_fails(predicate: Predicate, graph: TemporalGraph) -> bool:
-    """A candidate reduction counts only if the predicate still holds.
+def failure_signature(message: str) -> str:
+    """``message`` with its numbers and reprs masked.
 
-    A reduction that *changes* the failure into a crash (or into a
-    well-formedness error) is rejected: the shrunk graph must fail the
-    same way the original did as far as the predicate can tell.
+    Quoted strings become ``'…'``, numbers ``#`` and bracketed groups
+    (tuple, list, set and dict reprs, innermost first) ``…``, so two
+    messages from one failing check compare equal whichever entity,
+    window or count they name.
+    """
+    masked = _NUMBER.sub("#", _QUOTED.sub("'…'", message))
+    previous = None
+    while masked != previous:
+        previous, masked = masked, _BRACKETED.sub("…", masked)
+    return masked
+
+
+def _fails_as(check: Check, graph: TemporalGraph, signature: str) -> bool:
+    """Whether ``graph`` still fails with the original failure's signature.
+
+    A reduction that turns the failure into a pass, a crash or a
+    different failure is rejected.
     """
     try:
-        return bool(predicate(graph))
+        message = check(graph)
     except Exception:
         return False
+    return message is not None and failure_signature(message) == signature
 
 
 def _restrict(
@@ -50,16 +80,22 @@ def _restrict(
 
 def shrink_graph(
     graph: TemporalGraph,
-    predicate: Predicate,
+    check: Check,
     max_rounds: int = 32,
 ) -> TemporalGraph:
-    """The smallest graph (greedy fixed point) still failing ``predicate``.
+    """The smallest graph (greedy fixed point) on which ``check`` still
+    fails the way it fails on ``graph``.
 
-    ``predicate`` must be deterministic: it is re-evaluated on every
-    candidate reduction, so callers seeding randomness must re-seed per
-    call.  The input graph is assumed to fail; the return value always
-    does.
+    ``check`` returns a failure message or ``None`` and must be
+    deterministic: it is re-evaluated on every candidate reduction, so
+    callers seeding randomness must re-seed per call.  The input graph
+    is assumed to fail; the return value always fails with the same
+    :func:`failure_signature`.
     """
+    message = check(graph)
+    if message is None:
+        return graph
+    signature = failure_signature(message)
     current = graph
     for _ in range(max_rounds):
         nodes = list(current.nodes)
@@ -70,14 +106,14 @@ def shrink_graph(
         for edge in list(edges):
             candidate_edges = [e for e in edges if e != edge]
             candidate = _restrict(current, nodes, candidate_edges, times)
-            if candidate is not None and _still_fails(predicate, candidate):
+            if candidate is not None and _fails_as(check, candidate, signature):
                 current, edges, improved = candidate, candidate_edges, True
 
         for node in list(nodes):
             candidate_nodes = [n for n in nodes if n != node]
             candidate_edges = [e for e in edges if node not in e]  # type: ignore[operator]
             candidate = _restrict(current, candidate_nodes, candidate_edges, times)
-            if candidate is not None and _still_fails(predicate, candidate):
+            if candidate is not None and _fails_as(check, candidate, signature):
                 current = candidate
                 nodes, edges, improved = candidate_nodes, candidate_edges, True
 
@@ -87,7 +123,7 @@ def shrink_graph(
                 if not candidate_times:
                     continue
                 candidate = _restrict(current, nodes, edges, candidate_times)
-                if candidate is not None and _still_fails(predicate, candidate):
+                if candidate is not None and _fails_as(check, candidate, signature):
                     current, times, improved = candidate, candidate_times, True
 
         if not improved:

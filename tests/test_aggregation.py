@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AggregateGraph, aggregate, union
+from repro.errors import AggregationError
 from repro.testing import aggregate_algorithm2
 
 
@@ -114,6 +115,10 @@ class TestAggregateValidation:
     def test_unknown_time_rejected(self, paper_graph):
         with pytest.raises(KeyError):
             aggregate(paper_graph, ["gender"], times=["t9"])
+
+    def test_bare_string_attributes_rejected(self, paper_graph):
+        with pytest.raises(AggregationError, match="attributes .* bare string"):
+            aggregate(paper_graph, "publications")
 
     def test_default_times_whole_timeline(self, paper_graph):
         agg = aggregate(paper_graph, ["gender"], distinct=True)

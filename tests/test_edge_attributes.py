@@ -141,6 +141,10 @@ class TestEdgeMeasure:
         # (a,b) active twice -> 3 counted twice.
         assert result.edge(("m",), ("f",)) == 6
 
+    def test_bare_string_attributes_rejected(self, weighted_graph):
+        with pytest.raises(AggregationError, match="attributes .* bare string"):
+            aggregate_edge_measure(weighted_graph, "gender", "papers")
+
     def test_window_restriction(self, weighted_graph):
         result = aggregate_edge_measure(
             weighted_graph, ["gender"], "papers", measure="sum", times=["t0"]

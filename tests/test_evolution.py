@@ -9,6 +9,7 @@ from repro.core import (
     evolution,
     intersection,
 )
+from repro.errors import AggregationError
 from repro.testing import (
     GraphSpec,
     aggregate_evolution_reference,
@@ -81,6 +82,10 @@ class TestAggregateEvolution:
         return aggregate_evolution(
             paper_graph, ["t0"], ["t1"], ["gender", "publications"]
         )
+
+    def test_bare_string_attributes_rejected(self, paper_graph):
+        with pytest.raises(AggregationError, match="attributes .* bare string"):
+            aggregate_evolution(paper_graph, ["t0"], ["t1"], "gender")
 
     def test_figure4b_f1(self, evo_agg):
         """The paper's worked example: node (f, 1) has St=Gr=Shr=1."""

@@ -144,15 +144,6 @@ def test_empty_entity_axis(wide_graph, axis, backend):
     assert_kernel_matches_walk(empty, entity=entity, attributes=("level",))
 
 
-def test_pooled_kernel_matches_walk_on_time_varying(wide_graph):
-    for event, goal, extend in CASES:
-        args = (wide_graph, event, goal, extend, 2, EntityKind.EDGES, ["level"])
-        pooled = explore(*args, parallelism=2)
-        walk = reference_explore(*args)
-        assert pooled.pairs == walk.pairs
-        assert pooled.evaluations == walk.evaluations
-
-
 # ----------------------------------------------------------------------
 # static_match_mask: the vectorized key match
 # ----------------------------------------------------------------------

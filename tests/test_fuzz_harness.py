@@ -9,13 +9,17 @@ syntactically valid reproducer script.
 import pytest
 
 import repro.testing.algorithm2 as engines
+import repro.testing.laws as laws
 from repro.core import AggregateGraph
 from repro.errors import AggregationError, ConfigurationError
 from repro.testing import (
     HOSTILE_EVERY,
     GraphSpec,
+    Law,
+    failure_signature,
     random_temporal_graph,
     run_fuzz,
+    shrink_graph,
 )
 
 pytestmark = pytest.mark.fuzz
@@ -150,3 +154,47 @@ class TestInjectedBug:
         monkeypatch.undo()  # "fix" the engine
         with pytest.raises(SystemExit, match="law passed"):
             exec(compile(source, "<reproducer>", "exec"), {})
+
+
+def _size_dependent(graph, rng=None):
+    """A stub law whose failure message changes below three nodes."""
+    if graph.n_nodes >= 3:
+        return f"{graph.n_nodes} nodes remain: {sorted(graph.nodes)!r}"
+    return "fewer than three nodes"
+
+
+class TestShrinkKeepsTheFailure:
+    """A reduction is kept only when the law still fails the same way."""
+
+    def test_signature_masks_numbers_and_reprs(self):
+        assert failure_signature(
+            "node weight ('f', 3): 2 != 4"
+        ) == failure_signature("node weight ('m', 12): 0 != 1")
+        assert failure_signature(
+            "replayed union total diverges: node weight ('f',): 1 != 2"
+        ) != failure_signature("replayed graph's presence diverges")
+
+    def test_shrink_stops_where_the_message_would_change(self, test_seed):
+        graph = random_temporal_graph(GraphSpec(n_nodes=8), seed=test_seed)
+        assert graph.n_nodes == 8
+        shrunk = shrink_graph(graph, _size_dependent)
+        assert shrunk.n_nodes == 3
+        assert _size_dependent(shrunk).startswith("3 nodes remain")
+
+    def test_run_fuzz_reports_the_original_failure(
+        self, test_seed, monkeypatch
+    ):
+        monkeypatch.setitem(
+            laws._REGISTRY,
+            "stub-size-dependent",
+            Law("stub-size-dependent", "fails differently when small",
+                _size_dependent),
+        )
+        report = run_fuzz(
+            seed=test_seed, cases=4, laws=["stub-size-dependent"]
+        )
+        big = [f for f in report.failures if "nodes remain" in f.message]
+        assert big, report.failures
+        for failure in big:
+            assert failure.n_nodes == 3
+            assert failure.message.startswith("3 nodes remain")

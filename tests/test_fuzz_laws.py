@@ -22,6 +22,10 @@ def test_registry_covers_paper_identities():
     assert set(DIFFERENTIAL_LAW_NAMES) <= set(LAW_NAMES)
 
 
+def test_registry_is_complete():
+    assert len(law_registry()) >= 23
+
+
 def test_laws_carry_descriptions():
     for law in law_registry().values():
         assert law.name

@@ -1,10 +1,10 @@
-"""Fixture-based tests for the whole-program rules GT007-GT012.
+"""Fixture-based tests for the whole-program rules GT009-GT012.
 
 Mirrors the GT001-GT006 suite: one known-bad and one known-good snippet
 per rule, laid out as ``src/repro/...`` so the dotted-name scoping is
 exercised for real, plus CLI contract tests (``--format json``,
 ``--ignore``, ``--report``, exit codes) and the acceptance gate — the
-repository itself is zero-violation under GT007-GT012 and the committed
+repository itself is zero-violation under GT009-GT012 and the committed
 CI baseline agrees.
 """
 
@@ -42,209 +42,6 @@ def lint_files(
 
 def rule_ids(violations: list[Violation]) -> set[str]:
     return {violation.rule for violation in violations}
-
-
-# ---------------------------------------------------------------------------
-# GT007 — worker-function fork-safety
-# ---------------------------------------------------------------------------
-
-
-def test_gt007_flags_lambda_and_nested_submissions(tmp_path: Path) -> None:
-    violations = lint_files(
-        tmp_path,
-        {
-            "src/repro/jobs.py": """
-                from repro.parallel import get_executor
-
-                __all__ = ["bad_lambda", "bad_nested"]
-
-                def bad_lambda(tasks):
-                    executor = get_executor(2)
-                    return executor.map(lambda p, t: t, tasks, None)
-
-                def bad_nested(tasks):
-                    def worker(payload, task):
-                        return task
-                    executor = get_executor(2)
-                    return executor.map(worker, tasks, None)
-            """,
-        },
-        make_config("GT007"),
-    )
-    assert len(violations) == 2
-    assert rule_ids(violations) == {"GT007"}
-    assert "lambda" in violations[0].message
-    assert "nested function 'worker'" in violations[1].message
-
-
-def test_gt007_flags_bound_method_submission(tmp_path: Path) -> None:
-    violations = lint_files(
-        tmp_path,
-        {
-            "src/repro/jobs.py": """
-                from repro.parallel import get_executor
-
-                __all__ = ["Runner"]
-
-                class Runner:
-                    def work(self, payload, task):
-                        return task
-
-                    def go(self, tasks):
-                        executor = get_executor(2)
-                        return executor.map(self.work, tasks, None)
-            """,
-        },
-        make_config("GT007"),
-    )
-    assert rule_ids(violations) == {"GT007"}
-    assert "bound method" in violations[0].message
-
-
-def test_gt007_accepts_module_level_worker(tmp_path: Path) -> None:
-    violations = lint_files(
-        tmp_path,
-        {
-            "src/repro/jobs.py": """
-                from repro.parallel import get_executor
-
-                __all__ = ["run"]
-
-                def _worker(payload, task):
-                    return task
-
-                def run(tasks):
-                    executor = get_executor(2)
-                    return executor.map(_worker, tasks, None)
-            """,
-        },
-        make_config("GT007"),
-    )
-    assert violations == []
-
-
-def test_gt007_resolves_one_level_of_indirection(tmp_path: Path) -> None:
-    """The explore.py shape: a helper takes the worker as a parameter."""
-    files = {
-        "src/repro/jobs.py": """
-            from repro.parallel import get_executor
-
-            __all__ = ["good", "bad"]
-
-            def _chunk(payload, task):
-                return task
-
-            def _run(fn, tasks):
-                executor = get_executor(2)
-                return executor.map(fn, tasks, None)
-
-            def good(tasks):
-                return _run(_chunk, tasks)
-
-            def bad(tasks):
-                def local(payload, task):
-                    return task
-                return _run(local, tasks)
-        """,
-    }
-    violations = lint_files(tmp_path, files, make_config("GT007"))
-    assert rule_ids(violations) == {"GT007"}
-    assert len(violations) == 1
-    assert "nested function 'local'" in violations[0].message
-
-
-def test_gt007_flags_unresolvable_parameter(tmp_path: Path) -> None:
-    violations = lint_files(
-        tmp_path,
-        {
-            "src/repro/jobs.py": """
-                from repro.parallel import get_executor
-
-                __all__ = ["orphan"]
-
-                def orphan(fn, tasks):
-                    executor = get_executor(2)
-                    return executor.map(fn, tasks, None)
-            """,
-        },
-        make_config("GT007"),
-    )
-    assert rule_ids(violations) == {"GT007"}
-    assert "no caller" in violations[0].message
-
-
-def test_gt007_suppressible_inline(tmp_path: Path) -> None:
-    violations = lint_files(
-        tmp_path,
-        {
-            "src/repro/jobs.py": """
-                from repro.parallel import get_executor
-
-                __all__ = ["orphan"]
-
-                def orphan(fn, tasks):
-                    executor = get_executor(2)
-                    return executor.map(fn, tasks, None)  # lint: ignore[GT007]
-            """,
-        },
-        make_config("GT007"),
-    )
-    assert violations == []
-
-
-# ---------------------------------------------------------------------------
-# GT008 — workers must not mutate the shared payload
-# ---------------------------------------------------------------------------
-
-
-GT008_BAD = {
-    "src/repro/jobs.py": """
-        from repro.parallel import get_executor
-
-        __all__ = ["run"]
-
-        def _worker(payload, task):
-            payload["seen"] = task
-            rows = payload["rows"]
-            rows.append(task)
-            return task
-
-        def run(tasks, payload):
-            executor = get_executor(2)
-            return executor.map(_worker, tasks, payload)
-    """,
-}
-
-GT008_GOOD = {
-    "src/repro/jobs.py": """
-        from repro.parallel import get_executor
-
-        __all__ = ["run"]
-
-        def _worker(payload, task):
-            rows = payload["rows"]
-            local = list(rows)
-            local.append(task)
-            return len(local)
-
-        def run(tasks, payload):
-            executor = get_executor(2)
-            return executor.map(_worker, tasks, payload)
-    """,
-}
-
-
-def test_gt008_flags_payload_writes_and_alias_mutation(tmp_path: Path) -> None:
-    violations = lint_files(tmp_path, GT008_BAD, make_config("GT008"))
-    assert rule_ids(violations) == {"GT008"}
-    assert len(violations) == 2
-    assert "shared payload" in violations[0].message
-    assert ".append()" in violations[1].message
-
-
-def test_gt008_accepts_readonly_payload_with_local_copy(tmp_path: Path) -> None:
-    violations = lint_files(tmp_path, GT008_GOOD, make_config("GT008"))
-    assert violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +490,13 @@ def test_repro_cli_lint_subcommand_forwards(tmp_path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance gate: the repository itself is clean under GT007-GT012
+# Acceptance gate: the repository itself is clean under GT009-GT012
 # ---------------------------------------------------------------------------
 
 
 def test_repository_concurrency_rules_are_clean() -> None:
     config = load_config(REPO / "pyproject.toml")
-    new_rules = ["GT007", "GT008", "GT009", "GT010", "GT011", "GT012"]
+    new_rules = ["GT009", "GT010", "GT011", "GT012"]
     assert all(rule in config.select for rule in new_rules)
     narrowed = LintConfig(
         select=tuple(new_rules), exclude=config.exclude, rules=config.rules
@@ -714,6 +511,4 @@ def test_committed_baseline_matches_reality() -> None:
     )
     assert baseline["schema"] == "repro-lint/1"
     assert baseline["violations"] == []
-    assert baseline["rules"] == [
-        "GT007", "GT008", "GT009", "GT010", "GT011", "GT012",
-    ]
+    assert baseline["rules"] == ["GT009", "GT010", "GT011", "GT012"]

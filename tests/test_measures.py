@@ -92,6 +92,10 @@ class TestValidation:
                 paper_graph, ["gender"], "publications", times=["t9"]
             )
 
+    def test_bare_string_attributes_rejected(self, paper_graph):
+        with pytest.raises(AggregationError, match="attributes .* bare string"):
+            aggregate_measure(paper_graph, "gender", "publications", "sum")
+
     @pytest.mark.parametrize("measure", sorted(MEASURES))
     @pytest.mark.parametrize("engine", [aggregate_measure, reference_measure])
     def test_non_numeric_measure_attribute(self, paper_graph, engine, measure):

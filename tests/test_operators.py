@@ -4,6 +4,7 @@ running example."""
 import pytest
 
 from repro.core import difference, intersection, ordered_times, project, union
+from repro.errors import TemporalError
 
 
 class TestOrderedTimes:
@@ -16,6 +17,10 @@ class TestOrderedTimes:
     def test_unknown_time_rejected(self, paper_graph):
         with pytest.raises(KeyError):
             ordered_times(paper_graph, ["t9"])
+
+    def test_bare_string_time_set_rejected(self, paper_graph):
+        with pytest.raises(TemporalError, match="time set .* bare string 't0'"):
+            ordered_times(paper_graph, ["t1"], "t0")
 
 
 class TestProject:

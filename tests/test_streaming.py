@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core import SnapshotUpdate, aggregate, aggregate_evolution
+from repro.core.graph import TemporalGraphBuilder
+from repro.core.operators import presence_signature
 from repro.core.updates import split_history
 from repro.errors import (
     ExplorationError,
@@ -173,6 +175,23 @@ class TestStreamingStore:
         store = StreamingStore.from_history(tiny_graph)
         assert store.version == len(tiny_graph.timeline.labels) - 1
         assert_same_graph(store.graph, tiny_graph)
+
+    def test_from_history_keeps_never_present_entities(self):
+        builder = TemporalGraphBuilder(["t0", "t1", "t2"], static=["gender"])
+        builder.add_node("a", {"gender": "f"})
+        builder.add_node("ghost", {"gender": "m"})
+        builder.add_node("late", {"gender": "m"})
+        builder.set_node_presence("a", "t0")
+        builder.set_node_presence("a", "t1")
+        builder.set_node_presence("late", "t2")
+        # Edges present at no point, one to a node that appears later.
+        builder.add_edge("a", "ghost")
+        builder.add_edge("a", "late")
+        graph = builder.build()
+        replayed = StreamingStore.from_history(graph).graph
+        assert presence_signature(replayed) == presence_signature(graph)
+        assert replayed.attribute_value("ghost", "gender") == "m"
+        assert_same_graph(replayed, graph)
 
     def test_failing_view_rolls_back(self, paper_graph):
         class ExplodingView(StreamingView):

@@ -1,8 +1,8 @@
 """Run mypy under the committed configuration, when mypy is installed.
 
 The strict sections of ``[tool.mypy]`` in ``pyproject.toml`` cover
-``repro.frames``, ``repro.core``, ``repro.exploration``, ``repro.obs``
-and ``repro.parallel``; CI installs the ``typecheck`` extra so this
+``repro.frames``, ``repro.core``, ``repro.exploration``, ``repro.obs``,
+``repro.streaming``, ``repro.serving`` and ``repro.storage``; CI installs the ``typecheck`` extra so this
 gate always runs there.  Locally the test skips if mypy is absent (the
 library itself depends only on numpy).
 """
