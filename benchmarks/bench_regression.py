@@ -34,6 +34,7 @@ from bench_storage import GATE_LATENCY as STORAGE_GATE_LATENCY
 from bench_storage import main as storage_bench_main
 from bench_streaming import CARRIED_PREFIX
 from bench_streaming import GATE as STREAMING_GATE
+from bench_streaming import HISTORY_GATE as STREAMING_HISTORY_GATE
 from bench_streaming import main as streaming_bench_main
 
 pytestmark = pytest.mark.bench_smoke
@@ -139,6 +140,16 @@ class TestStreamingBaseline:
         assert _recomputes(row["speedup"], row["fresh_best_s"], row["carried_best_s"])
         assert row["carried_best_s"] <= row["fresh_best_s"], (
             "appends carrying derived state fell behind a fresh rebuild per version"
+        )
+
+    def test_versions_share_array_storage(self, streaming_baseline):
+        assert streaming_baseline["meta"]["history_gate"] == STREAMING_HISTORY_GATE
+        row = streaming_baseline["carried_state"]
+        history, live = row["history_array_bytes"], row["live_array_bytes"]
+        assert 0 < live <= history
+        assert history <= STREAMING_HISTORY_GATE * live, (
+            f"{row['n_appends'] + 1} versions hold {history / live:.1f}x the live "
+            "version's arrays: appends are copying history again"
         )
 
 

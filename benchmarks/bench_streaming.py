@@ -28,6 +28,13 @@ backend per version, which rebuilds every index and cache.  Both arms
 must return identical results, and the carried arm must be no slower
 (``carried_best_s <= fresh_best_s``).
 
+The carried arm also records the arrays its versions hold:
+``history_array_bytes`` over all 101 versions of the replay and
+``live_array_bytes`` for the newest one, each the distinct base arrays
+of the frames and the carried backend caches (a view counts as the
+buffer it views, spare capacity included).  Versions share append
+buffers, so history must stay within ``HISTORY_GATE`` times live.
+
 Results land in ``BENCH_streaming.json``.  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke]
@@ -84,6 +91,11 @@ from repro.streaming import (
 GATE = 1.5
 
 ATTRS = ["gender"]
+
+#: Most the carried arm's versions may hold together, as a multiple of
+#: the newest version's arrays: a buffer an axis outgrows is at most
+#: half the next one, so shared buffers stay below 2x.
+HISTORY_GATE = 3.0
 
 #: Timeline length of the carried-state arm (full run / ``--smoke``) and
 #: the points loaded before the timed appends begin.
@@ -273,6 +285,31 @@ def _fresh(graph):
     )
 
 
+def _array_bases(graph):
+    """The arrays a version holds, as ``id -> base array``: its frames'
+    values and its built backend's carried caches, each counted as the
+    buffer it views."""
+    frames = [
+        graph.node_presence,
+        graph.edge_presence,
+        graph.static_attrs,
+        *graph.varying_attrs.values(),
+    ]
+    if graph.edge_attrs is not None:
+        frames.append(graph.edge_attrs)
+    arrays = [frame.values for frame in frames]
+    storage = graph.built_storage
+    if storage is not None:
+        arrays += [storage.presence_bits("nodes"), storage.presence_bits("edges")]
+        arrays += storage.edge_endpoint_rows()
+    bases = (array if array.base is None else array.base for array in arrays)
+    return {id(base): base for base in bases}
+
+
+def _nbytes(bases):
+    return sum(int(base.nbytes) for base in bases.values())
+
+
 def _first_reads(graph, k):
     """A version's first evolution read (the newest point against the ten
     before it) and first explore."""
@@ -300,12 +337,12 @@ def bench_carried_state(n_points, scale, repeats):
         versions.append(current)
 
     def carried():
-        current = _fresh(prefix)
-        results = [_first_reads(current, k)]
+        kept = [_fresh(prefix)]
+        results = [_first_reads(kept[0], k)]
         for update in updates:
-            current = append_snapshot(current, update)
-            results.append(_first_reads(current, k))
-        return results
+            kept.append(append_snapshot(kept[-1], update))
+            results.append(_first_reads(kept[-1], k))
+        return results, kept
 
     def fresh():
         results = [_first_reads(_fresh(prefix), k)]
@@ -313,9 +350,18 @@ def bench_carried_state(n_points, scale, repeats):
             results.append(_first_reads(_fresh(version), k))
         return results
 
-    for i, (ours, theirs) in enumerate(zip(carried(), fresh())):
+    replayed, kept = carried()
+    for i, (ours, theirs) in enumerate(zip(replayed, fresh())):
         assert ours[0].diff(theirs[0]) == (), f"evolution diverges at version {i}"
         assert ours[1].diff(theirs[1]) == (), f"explore diverges at version {i}"
+    history = {}
+    for version in kept:
+        history.update(_array_bases(version))
+    footprint = {
+        "history_array_bytes": _nbytes(history),
+        "live_array_bytes": _nbytes(_array_bases(kept[-1])),
+    }
+    del replayed, kept, history
     fresh_timing = measure(fresh, repeats=repeats)
     carried_timing = measure(carried, repeats=repeats)
     row = {
@@ -326,11 +372,14 @@ def bench_carried_state(n_points, scale, repeats):
         "fresh_best_s": fresh_timing.best,
         "carried_best_s": carried_timing.best,
         "speedup": speedup(fresh_timing, carried_timing),
+        **footprint,
     }
     print(
         f"  carried state ({n_points} points, {graph.n_nodes} nodes, "
         f"{graph.n_edges} edges): fresh {fresh_timing.best:.4f}s "
-        f"carried {carried_timing.best:.4f}s speedup {row['speedup']:.2f}x"
+        f"carried {carried_timing.best:.4f}s speedup {row['speedup']:.2f}x; "
+        f"arrays {row['history_array_bytes'] / 1e6:.2f} MB over "
+        f"{len(updates) + 1} versions, {row['live_array_bytes'] / 1e6:.2f} MB live"
     )
     return row
 
@@ -385,6 +434,7 @@ def main(argv=None):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "gate": GATE,
+            "history_gate": HISTORY_GATE,
             "cpu_count": os.cpu_count(),
         },
         "ingestion": appends_row,
@@ -396,6 +446,13 @@ def main(argv=None):
 
     if carried_row["carried_best_s"] > carried_row["fresh_best_s"]:
         print("WARNING: carried derived state is slower than a fresh rebuild")
+        return 1
+    history, live = carried_row["history_array_bytes"], carried_row["live_array_bytes"]
+    if history > HISTORY_GATE * live:
+        print(
+            f"WARNING: versions hold {history / live:.1f}x the live version's "
+            f"arrays, above the {HISTORY_GATE}x gate"
+        )
         return 1
     if args.smoke:
         # Smoke timelines are too short for maintenance to pay off;

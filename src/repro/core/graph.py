@@ -98,11 +98,17 @@ class TemporalGraph:
 
     def _check_schema(self) -> None:
         times = self.timeline.labels
-        if self.node_presence.col_labels != times:
+        # ``is`` first: an appended version's frames share the timeline's
+        # label tuple, so the O(timeline) comparison is skipped.
+        if self.node_presence.col_labels is not times and (
+            self.node_presence.col_labels != times
+        ):
             raise GraphIntegrityError(
                 "node presence columns must equal the timeline labels"
             )
-        if self.edge_presence.col_labels != times:
+        if self.edge_presence.col_labels is not times and (
+            self.edge_presence.col_labels != times
+        ):
             raise GraphIntegrityError(
                 "edge presence columns must equal the timeline labels"
             )
@@ -121,7 +127,7 @@ class TemporalGraph:
                 raise GraphIntegrityError(
                     f"time-varying attribute {name!r} rows must match node rows"
                 )
-            if frame.col_labels != times:
+            if frame.col_labels is not times and frame.col_labels != times:
                 raise GraphIntegrityError(
                     f"time-varying attribute {name!r} columns must equal the timeline"
                 )

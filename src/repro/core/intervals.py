@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from ..errors import TemporalError, TimeIndexError, UnknownLabelError
+from ..frames import LabelIndex
 
 __all__ = ["Interval", "Timeline", "TimeSet"]
 
@@ -108,6 +109,17 @@ class Timeline:
             raise TemporalError("timeline labels must be unique")
         if not self._labels:
             raise TemporalError("a timeline needs at least one time point")
+
+    @classmethod
+    def from_index(cls, index: LabelIndex) -> "Timeline":
+        """A timeline over an already-built time index, sharing its
+        position dict (never mutated) instead of re-enumerating the
+        labels: how an append avoids O(history) Python per version."""
+        if not index.labels:
+            raise TemporalError("a timeline needs at least one time point")
+        timeline = cls.__new__(cls)
+        timeline._labels, timeline._index = index
+        return timeline
 
     @property
     def labels(self) -> tuple[Hashable, ...]:

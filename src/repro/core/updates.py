@@ -92,6 +92,14 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     (:meth:`~repro.storage.GraphStorageBackend.extended`), carrying every
     cache the input had computed.  Each structure stays bit-identical to
     a from-scratch build of the same graph.
+
+    The arrays are not copied either: every presence and attribute frame
+    of the result is a read-only view of an append buffer shared with
+    the input, and the append writes only the new column and rows.  The
+    function stays pure -- no cell the input (or any other published
+    version) can see is written, and extending a version that is not the
+    newest of its buffer, such as a second append to the same input,
+    copies into a new buffer instead (:mod:`repro.frames._buffer`).
     """
     if update.time in graph.timeline:
         raise ValidationError(f"time point {update.time!r} already exists")
@@ -142,51 +150,50 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
                 f"edge {(u, v)!r} references a node absent from the snapshot"
             )
 
-    present_rows = [node_pos[node] for node in incoming]
-    node_values = np.zeros((n_nodes, len(new_times)), dtype=np.uint8)
-    node_values[: graph.n_nodes, :-1] = graph.node_presence.values
-    node_values[present_rows, -1] = 1
-    node_presence = LabeledFrame.from_index(nodes, times, node_values)
+    # Every frame grows by its new cells only: each appended frame is a
+    # read-only view of an append buffer shared along the lineage
+    # (``LabeledFrame.appended_column`` / ``appended_rows``).
+    presence = np.zeros(n_nodes, dtype=np.uint8)
+    presence[[node_pos[node] for node in incoming]] = 1
+    node_presence = graph.node_presence.appended_column(nodes, times, presence)
 
     static_names = graph.static_attrs.col_index
-    static_values = np.empty((n_nodes, len(static_names.labels)), dtype=object)
-    static_values[: graph.n_nodes] = graph.static_attrs.values
+    static_block = np.empty((len(new_node_ids), len(static_names.labels)), dtype=object)
     for i, node in enumerate(new_node_ids):
         provided = dict(update.static.get(node, {}))
         for col, name in enumerate(static_names.labels):
-            static_values[graph.n_nodes + i, col] = provided.get(str(name))
-    static_attrs = LabeledFrame.from_index(nodes, static_names, static_values)
+            static_block[i, col] = provided.get(str(name))
+    static_attrs = graph.static_attrs.appended_rows(nodes, static_block)
 
     varying_attrs: dict[str, LabeledFrame] = {}
     for name in varying_names:
         # numpy fills a new object array with None, the absent cell.
-        values = np.empty((n_nodes, len(new_times)), dtype=object)
-        values[: graph.n_nodes, :-1] = graph.varying_attrs[name].values
+        column = np.empty(n_nodes, dtype=object)
         for node, node_values_map in incoming.items():
             if name in node_values_map:
-                values[node_pos[node], -1] = node_values_map[name]
-        varying_attrs[name] = LabeledFrame.from_index(nodes, times, values)
+                column[node_pos[node]] = node_values_map[name]
+        varying_attrs[name] = graph.varying_attrs[name].appended_column(
+            nodes, times, column
+        )
 
     known_edges = graph.edge_presence.row_index
     new_edge_ids = [
         e for e in dict.fromkeys(edges) if e not in known_edges.positions
     ]
     edge_index = known_edges.extended(new_edge_ids)
-    edge_values = np.zeros((len(edge_index.labels), len(new_times)), dtype=np.uint8)
-    edge_values[: graph.n_edges, :-1] = graph.edge_presence.values
-    edge_values[[edge_index.positions[edge] for edge in edges], -1] = 1
-    edge_presence = LabeledFrame.from_index(edge_index, times, edge_values)
+    edge_column = np.zeros(len(edge_index.labels), dtype=np.uint8)
+    edge_column[[edge_index.positions[edge] for edge in edges]] = 1
+    edge_presence = graph.edge_presence.appended_column(edge_index, times, edge_column)
 
     edge_attr_frame: LabeledFrame | None = None
     if graph.edge_attrs is not None:
         names = graph.edge_attrs.col_index
-        attr_values = np.empty((len(edge_index.labels), len(names.labels)), dtype=object)
-        attr_values[: graph.n_edges] = graph.edge_attrs.values
+        attr_block = np.empty((len(new_edge_ids), len(names.labels)), dtype=object)
         for i, edge in enumerate(new_edge_ids):
             provided = dict(update.edge_attrs.get(edge, {}))
             for col, name in enumerate(names.labels):
-                attr_values[graph.n_edges + i, col] = provided.get(str(name))
-        edge_attr_frame = LabeledFrame.from_index(edge_index, names, attr_values)
+                attr_block[i, col] = provided.get(str(name))
+        edge_attr_frame = graph.edge_attrs.appended_rows(edge_index, attr_block)
 
     frames = StorageFrames(
         times=new_times,
@@ -201,7 +208,7 @@ def append_snapshot(graph: TemporalGraph, update: SnapshotUpdate) -> TemporalGra
     # untouched), otherwise the new graph builds its layout lazily.
     previous = graph.built_storage
     return TemporalGraph(
-        timeline=Timeline(new_times),
+        timeline=Timeline.from_index(times),
         node_presence=node_presence,
         edge_presence=edge_presence,
         static_attrs=static_attrs,

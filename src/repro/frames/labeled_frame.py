@@ -22,6 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from ._buffer import AppendBuffer, grown
 from .errors import DuplicateLabelError, LabelError, ShapeError
 
 __all__ = ["LabelIndex", "LabeledFrame"]
@@ -101,7 +102,14 @@ class LabeledFrame:
     ('u1', 'u2')
     """
 
-    __slots__ = ("_row_labels", "_col_labels", "_values", "_row_index", "_col_index")
+    __slots__ = (
+        "_row_labels",
+        "_col_labels",
+        "_values",
+        "_row_index",
+        "_col_index",
+        "_buffer",
+    )
 
     def __init__(
         self,
@@ -128,6 +136,9 @@ class LabeledFrame:
         self._row_labels, self._row_index = rows
         self._col_labels, self._col_index = cols
         self._values = array
+        # The append buffer ``array`` is a view of (``None`` when the
+        # frame owns its array); see :meth:`appended_column`.
+        self._buffer: AppendBuffer | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -146,6 +157,62 @@ class LabeledFrame:
         """
         frame = cls.__new__(cls)
         frame._adopt(rows, cols, values)
+        return frame
+
+    def appended_column(
+        self, rows: LabelIndex, cols: LabelIndex, column: np.ndarray
+    ) -> "LabeledFrame":
+        """This frame grown by one column (and any new rows), read-only.
+
+        ``rows`` and ``cols`` are this frame's indexes followed by the new
+        labels: any number of new rows, exactly one new column, whose
+        values are ``column``.  New rows hold ``column.dtype``'s fill
+        (``0``, or ``None`` for ``object``) in every earlier column.
+
+        The result is a read-only view of an append buffer shared with
+        this frame when this frame is the newest view of one, so growing
+        a version writes only the new cells instead of copying all of
+        history (:mod:`repro.frames._buffer`).  This frame's cells are
+        never written.
+        """
+        n_cols = len(cols.labels)
+        if n_cols != self.n_cols + 1 or len(rows.labels) < self.n_rows:
+            raise ShapeError(
+                f"appended_column needs one new column, got {self.shape} -> "
+                f"({len(rows.labels)}, {n_cols})"
+            )
+        values, buffer = grown(
+            self._values, self._buffer, (len(rows.labels), n_cols), column.dtype
+        )
+        values[:, -1] = column
+        return self._published(rows, cols, values, buffer)
+
+    def appended_rows(self, rows: LabelIndex, block: np.ndarray) -> "LabeledFrame":
+        """This frame grown by the rows ``block`` under the new labels of
+        ``rows``, read-only, sharing an append buffer as
+        :meth:`appended_column` does."""
+        if block.shape != (len(rows.labels) - self.n_rows, self.n_cols):
+            raise ShapeError(
+                f"appended_rows block shape {block.shape} does not match "
+                f"{len(rows.labels) - self.n_rows} new rows x {self.n_cols} columns"
+            )
+        values, buffer = grown(
+            self._values, self._buffer, (len(rows.labels), self.n_cols), block.dtype
+        )
+        values[self.n_rows :] = block
+        return self._published(rows, self.col_index, values, buffer)
+
+    @classmethod
+    def _published(
+        cls,
+        rows: LabelIndex,
+        cols: LabelIndex,
+        values: np.ndarray,
+        buffer: AppendBuffer,
+    ) -> "LabeledFrame":
+        values.flags.writeable = False
+        frame = cls.from_index(rows, cols, values)
+        frame._buffer = buffer
         return frame
 
     @classmethod

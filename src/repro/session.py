@@ -355,7 +355,7 @@ class GraphTempoSession:
         if self.hierarchy is None:
             raise ValidationError("zoom_out requires a session hierarchy")
         return GraphTempoSession(
-            coarsen(self.graph, self.hierarchy, semantics)
+            coarsen(self.graph, self.hierarchy, semantics), storage=self.storage
         )
 
     # ------------------------------------------------------------------

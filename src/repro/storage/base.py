@@ -42,6 +42,7 @@ import numpy as np
 
 from ..errors import StorageError
 from ..frames import LabeledFrame
+from ..frames._buffer import AppendBuffer, grown
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ..core.graph import TemporalGraph
@@ -108,6 +109,9 @@ class GraphStorageBackend(ABC):
     #: :meth:`presence_bits` per entity, filled on first read.
     _presence_bits: dict[str, np.ndarray]
 
+    #: The append buffer behind each carried :meth:`presence_bits` array.
+    _bits_buffers: dict[str, AppendBuffer]
+
     # ------------------------------------------------------------------
     # Construction / round-trip
     # ------------------------------------------------------------------
@@ -130,10 +134,12 @@ class GraphStorageBackend(ABC):
         followed by the new ones, and one more time point at the end.
         The new layout is built from ``frames``; every cache this backend
         has already computed is carried over by extension (O(new point)
-        Python plus array copies) and caches it never computed stay lazy,
-        so an append never computes from scratch what nobody read.  This
-        backend and its arrays are left untouched, and every carried
-        array is bit-identical to what the new backend would compute.
+        work: a carried array grows in an append buffer it shares with
+        this one, :mod:`repro.frames._buffer`) and caches it never
+        computed stay lazy, so an append never computes from scratch what
+        nobody read.  No cell of this backend's arrays is written, and
+        every carried array is bit-identical to what the new backend
+        would compute.
         """
         if (
             len(frames.times) != len(self.times) + 1
@@ -147,17 +153,17 @@ class GraphStorageBackend(ABC):
         # A copy: a reader of this version may be filling the cache.
         carried = dict(getattr(self, "_presence_bits", None) or {})
         if carried:
-            backend._presence_bits = {
-                entity: _append_time_row(
-                    bits,
-                    (
-                        frames.node_presence
-                        if entity == "nodes"
-                        else frames.edge_presence
-                    ).values[:, -1],
+            buffers = getattr(self, "_bits_buffers", {})
+            backend._presence_bits = {}
+            backend._bits_buffers = {}
+            for entity, bits in carried.items():
+                presence = (
+                    frames.node_presence if entity == "nodes" else frames.edge_presence
                 )
-                for entity, bits in carried.items()
-            }
+                (
+                    backend._presence_bits[entity],
+                    backend._bits_buffers[entity],
+                ) = _append_time_row(bits, buffers.get(entity), presence.values[:, -1])
         return backend
 
     @abstractmethod
@@ -247,55 +253,6 @@ class GraphStorageBackend(ABC):
         given order, keeping every entity row (the storage-level time
         projection of Section 4.1)."""
 
-    def slice_entities(
-        self, entity: str, start: int, stop: int
-    ) -> "GraphStorageBackend":
-        """A new backend restricted to one contiguous entity-row range.
-
-        ``entity="nodes"`` keeps ``node_labels[start:stop]`` (presence,
-        static and time-varying attributes), leaving the timeline and
-        the edge axis whole — an edge whose endpoint fell outside the
-        slice reports ``-1`` from :meth:`edge_endpoint_rows`, per that
-        contract.  ``entity="edges"`` slices the edge axis instead.
-        Empty ranges produce a valid empty-axis backend.  The slice is rebuilt
-        through ``from_frames`` so it is a first-class backend of the
-        same physical layout.
-        """
-        labels = self.entity_labels(entity)
-        if not (0 <= start <= stop <= len(labels)):
-            raise StorageError(
-                f"invalid {entity} range [{start}:{stop}] for axis of "
-                f"{len(labels)} rows"
-            )
-        keep = list(labels[start:stop])
-        frames = self.to_frames()
-        if entity == "nodes":
-            sliced = StorageFrames(
-                times=frames.times,
-                node_presence=frames.node_presence.select_rows(keep),
-                edge_presence=frames.edge_presence,
-                static_attrs=frames.static_attrs.select_rows(keep),
-                varying_attrs={
-                    name: frame.select_rows(keep)
-                    for name, frame in frames.varying_attrs.items()
-                },
-                edge_attrs=frames.edge_attrs,
-            )
-        else:
-            sliced = StorageFrames(
-                times=frames.times,
-                node_presence=frames.node_presence,
-                edge_presence=frames.edge_presence.select_rows(keep),
-                static_attrs=frames.static_attrs,
-                varying_attrs=dict(frames.varying_attrs),
-                edge_attrs=(
-                    None
-                    if frames.edge_attrs is None
-                    else frames.edge_attrs.select_rows(keep)
-                ),
-            )
-        return type(self).from_frames(sliced)
-
     @abstractmethod
     def attribute_column(
         self, name: str, time: Hashable | None = None
@@ -333,7 +290,8 @@ class GraphStorageBackend(ABC):
         read-only and computed at most once per backend, lazily on the
         first call, so readers of one graph version share it; a graph
         version appended after the first call inherits it extended by one
-        row (:meth:`extended`).
+        row (:meth:`extended`), as a strided view of a buffer shared with
+        this version (each row's words stay contiguous).
         """
         cache: dict[str, np.ndarray] | None = getattr(self, "_presence_bits", None)
         if cache is None:
@@ -404,18 +362,26 @@ def _pack_rows(rows: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-def _append_time_row(bits: np.ndarray, column: np.ndarray) -> np.ndarray:
+def _append_time_row(
+    bits: np.ndarray, buffer: AppendBuffer | None, column: np.ndarray
+) -> tuple[np.ndarray, AppendBuffer]:
     """``bits`` widened to ``column``'s entities plus one packed row for
     ``column`` (the appended point's presence): what
     :func:`_pack_time_major` gives for the appended presence matrix, since
-    entities new at the appended point are absent from every earlier one."""
-    n_times, n_words = bits.shape
-    row = _pack_rows(column.reshape(1, -1).astype(bool))
-    grown = np.zeros((n_times + 1, row.shape[1]), dtype=np.uint64)
-    grown[:n_times, :n_words] = bits
-    grown[n_times] = row[0]
-    grown.flags.writeable = False
-    return grown
+    entities new at the appended point are absent from every earlier one.
+
+    The result is a read-only view of the append buffer ``bits`` shares
+    (or of a new one): only the new row is written, and the new words of
+    earlier rows are the buffer's zero fill."""
+    n_times = bits.shape[0]
+    packed = np.packbits(column.astype(bool), bitorder="little")
+    shape = (n_times + 1, -(-column.shape[0] // 64))
+    grown_bits, buffer = grown(bits, buffer, shape, np.uint64)
+    # The new row is past every published view, so it still holds the
+    # zero fill: only its leading bytes need writing.
+    grown_bits[n_times].view(np.uint8)[: packed.shape[0]] = packed
+    grown_bits.flags.writeable = False
+    return grown_bits, buffer
 
 
 def _timeline(times: Sequence[Hashable]) -> Any:

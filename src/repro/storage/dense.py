@@ -15,6 +15,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from ..errors import LabelError, StorageError
+from ..frames._buffer import AppendBuffer, grown
 from .base import GraphStorageBackend, StorageFrames, register_backend
 
 __all__ = ["DenseBackend"]
@@ -29,6 +30,8 @@ class DenseBackend(GraphStorageBackend):
     def __init__(self, frames: StorageFrames) -> None:
         self._frames = frames
         self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
+        #: The append buffers behind carried ``_endpoints`` (if any).
+        self._endpoint_buffers: tuple[AppendBuffer, AppendBuffer] | None = None
 
     # ------------------------------------------------------------------
     # Construction / round-trip
@@ -144,8 +147,8 @@ class DenseBackend(GraphStorageBackend):
         backend = super().extended(frames)
         assert isinstance(backend, DenseBackend)
         if self._endpoints is not None:
-            backend._endpoints = _extend_endpoints(
-                self._endpoints, len(self.node_labels), frames
+            backend._endpoints, backend._endpoint_buffers = _extend_endpoints(
+                self._endpoints, self._endpoint_buffers, len(self.node_labels), frames
             )
         return backend
 
@@ -181,31 +184,41 @@ def _resolve_endpoints(
 
 
 def _extend_endpoints(
-    endpoints: tuple[np.ndarray, np.ndarray], n_old_nodes: int, frames: StorageFrames
-) -> tuple[np.ndarray, np.ndarray]:
-    """The previous version's endpoint rows plus the appended edges' rows.
+    endpoints: tuple[np.ndarray, np.ndarray],
+    buffers: tuple[AppendBuffer, AppendBuffer] | None,
+    n_old_nodes: int,
+    frames: StorageFrames,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[AppendBuffer, AppendBuffer] | None]:
+    """The previous version's endpoint rows plus the appended edges' rows,
+    and the append buffers they view.
 
-    Node rows never move on append, so old entries stay valid; only a
-    ``-1`` can change, when the dangling endpoint (possible in a
-    ``validate=False`` graph) is one of the nodes this append introduced.
+    Node rows never move on append, so old entries stay valid and the new
+    rows are written into the append buffers the previous arrays share.
+    Only a ``-1`` can change, when the dangling endpoint (possible in a
+    ``validate=False`` graph) is one of the nodes this append introduced:
+    that rewrites old cells, so the arrays are copied instead (no buffer).
     """
     old_sources, old_targets = endpoints
+    n_old = old_sources.shape[0]
     labels = frames.edge_presence.row_labels
     index = frames.node_presence.row_index.positions
-    new_sources, new_targets = _resolve_endpoints(
-        labels[old_sources.shape[0] :], index
-    )
-    sources = np.concatenate([old_sources, new_sources])
-    targets = np.concatenate([old_targets, new_targets])
+    new_sources, new_targets = _resolve_endpoints(labels[n_old:], index)
     if len(index) > n_old_nodes:
-        dangling = np.flatnonzero(
-            (old_sources < 0) | (old_targets < 0)
-        ).tolist()
+        dangling = np.flatnonzero((old_sources < 0) | (old_targets < 0)).tolist()
         if dangling:
+            sources = np.concatenate([old_sources, new_sources])
+            targets = np.concatenate([old_targets, new_targets])
             sources[dangling], targets[dangling] = _resolve_endpoints(
                 [labels[row] for row in dangling], index
             )
-    return _frozen(sources, targets)
+            return _frozen(sources, targets), None
+    shape = (len(labels),)
+    source_buffer, target_buffer = buffers if buffers is not None else (None, None)
+    sources, source_buffer = grown(old_sources, source_buffer, shape, np.intp)
+    targets, target_buffer = grown(old_targets, target_buffer, shape, np.intp)
+    sources[n_old:] = new_sources
+    targets[n_old:] = new_targets
+    return _frozen(sources, targets), (source_buffer, target_buffer)
 
 
 def _frozen(

@@ -22,6 +22,7 @@ from .asserts import assert_same_aggregate, assert_same_graph, carried_state_pro
 from .generators import (
     GraphSpec,
     graph_from_maps,
+    graph_from_updates,
     graph_to_maps,
     random_temporal_graph,
     random_time_sets,
@@ -56,6 +57,7 @@ __all__ = [
     "carried_state_problem",
     "GraphSpec",
     "graph_from_maps",
+    "graph_from_updates",
     "graph_to_maps",
     "random_temporal_graph",
     "random_time_sets",

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core import TemporalGraph, Timeline
+from ..core import SnapshotUpdate, TemporalGraph, Timeline
 from ..errors import UnknownLabelError, ValidationError
 from ..frames import LabeledFrame
 
@@ -31,6 +31,7 @@ __all__ = [
     "random_temporal_graph",
     "random_time_sets",
     "graph_from_maps",
+    "graph_from_updates",
     "graph_to_maps",
 ]
 
@@ -363,3 +364,36 @@ def graph_to_maps(graph: TemporalGraph) -> dict[str, Any]:
         "varying": varying,
     }
 
+
+def graph_from_updates(
+    initial: TemporalGraph,
+    updates: Sequence[SnapshotUpdate],
+    storage: str | None = None,
+) -> TemporalGraph:
+    """The graph ``updates`` appended to ``initial`` describe, built from
+    scratch.
+
+    The updates' content is folded into :func:`graph_to_maps`'s mappings
+    and built by :func:`graph_from_maps` -- never through
+    :func:`~repro.core.updates.append_snapshot` -- so it is the oracle
+    an appended version is diffed against.  Node and edge rows keep
+    first-appearance order, as an append does.  Edge attributes are not
+    carried (the literal mappings have none).
+    """
+    maps = graph_to_maps(initial)
+    static_names = [str(n) for n in initial.static_attribute_names]
+    for update in updates:
+        t = update.time
+        maps["times"].append(t)
+        for node, values in update.nodes.items():
+            if node not in maps["node_times"]:
+                provided = update.static.get(node, {})
+                maps["node_times"][node] = []
+                maps["static"][node] = {n: provided.get(n) for n in static_names}
+            maps["node_times"][node].append(t)
+            for name, value in values.items():
+                if value is not None:
+                    maps["varying"].setdefault(node, {}).setdefault(name, {})[t] = value
+        for edge in dict.fromkeys(update.edges):
+            maps["edge_times"].setdefault(edge, []).append(t)
+    return graph_from_maps(**maps, storage=storage)

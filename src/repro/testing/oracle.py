@@ -24,6 +24,7 @@ import numpy as np
 from ..core import (
     MEASURES,
     Interval,
+    SnapshotUpdate,
     TemporalGraph,
     aggregate,
     aggregate_edge_measure,
@@ -42,10 +43,12 @@ from ..exploration.explore import (
 )
 from ..obs.metrics import get_metrics
 from ..olap.cube import ROUTE_EXACT, ROUTE_ROLLUP, ROUTE_TIME_SUM, TemporalGraphCube
+from ..core.updates import append_snapshot, split_history
 from ..streaming import AggregateTotalsView, StreamingStore
 from .algorithm2 import aggregate_evolution_reference, aggregation_engines
 from ..exploration.lattice import Semantics, Side
-from .generators import random_time_sets
+from .asserts import carried_state_problem
+from .generators import graph_from_updates, graph_to_maps, random_time_sets
 from .laws import register_law
 from .reference_explore import reference_explore, seed_appearance_count
 from .reference_measures import (
@@ -69,6 +72,7 @@ DIFFERENTIAL_LAW_NAMES = (
     "backend-storage",
     "measures-engines-agree",
     "exploration-varying-counts-match-seed",
+    "append-branch-isolation",
 )
 
 
@@ -680,4 +684,81 @@ def _exploration_varying_counts_match_seed(
                             f"{event} {entity} attrs={attrs!r} key={key!r} "
                             f"{old}/{new}: codes count {got} != seed {want}"
                         )
+    return None
+
+
+def _branch_update(
+    update: SnapshotUpdate, graph: TemporalGraph, rng: np.random.Generator
+) -> SnapshotUpdate:
+    """A different update at ``update``'s time point: a random half of its
+    nodes and the edges among them, plus one node no history holds, with
+    an edge to a kept node -- so the branch also grows both entity axes
+    differently."""
+    nodes = {n: v for n, v in update.nodes.items() if rng.integers(2)}
+    fresh = f"branch-{update.time}"
+    while fresh in update.nodes or graph.node_presence.has_row(fresh):
+        fresh += "'"
+    nodes[fresh] = {
+        name: int(rng.integers(5)) for name in graph.varying_attribute_names
+    }
+    edges = [e for e in update.edges if e[0] in nodes and e[1] in nodes]
+    edges += [(fresh, n) for n in list(nodes)[:1] if n != fresh]
+    return SnapshotUpdate(
+        time=update.time,
+        nodes=nodes,
+        static={n: v for n, v in update.static.items() if n in nodes},
+        edges=edges,
+    )
+
+
+@register_law(
+    "append-branch-isolation",
+    "two different updates appended to the same mid-history version, then "
+    "further appends on both branches, leave every version of both "
+    "branches bit-equal to a from-scratch build, with carried caches "
+    "intact, on every storage backend",
+    hostile_safe=False,
+)
+def _append_branch_isolation(
+    graph: TemporalGraph, rng: np.random.Generator
+) -> str | None:
+    from ..storage import backend_names
+
+    initial, updates = split_history(graph)
+    if len(updates) < 2:
+        return None
+    fork = int(rng.integers(len(updates) - 1))
+    branches = {
+        "original": updates[fork:],
+        "alternative": [_branch_update(updates[fork], graph, rng), *updates[fork + 1 :]],
+    }
+    # Which branch forks first, and whether each version reads its
+    # backend caches before the next append (so they are carried).
+    order = sorted(branches, reverse=bool(rng.integers(2)))
+    read_caches = bool(rng.integers(2))
+    for backend in backend_names():
+        trunk = [initial.with_storage(backend)]
+        for update in updates[:fork]:
+            trunk.append(append_snapshot(trunk[-1], update))
+        tips: dict[str, list[TemporalGraph]] = {}
+        for name in order:
+            versions = tips[name] = [trunk[-1]]
+            for update in branches[name]:
+                if read_caches:
+                    versions[-1].storage.edge_endpoint_rows()
+                    versions[-1].storage.presence_bits("nodes")
+                    versions[-1].storage.presence_bits("edges")
+                versions.append(append_snapshot(versions[-1], update))
+        for name, versions in tips.items():
+            history = [*updates[:fork], *branches[name]]
+            for i, version in enumerate([*trunk[:-1], *versions]):
+                scratch = graph_from_updates(initial, history[:i], storage=backend)
+                where = f"{backend} {name} branch (fork at {fork}) version {i}"
+                if presence_signature(version) != presence_signature(scratch):
+                    return f"{where}: presence differs from a from-scratch build"
+                if graph_to_maps(version) != graph_to_maps(scratch):
+                    return f"{where}: attribute values differ from a from-scratch build"
+                problem = carried_state_problem(version)
+                if problem is not None:
+                    return f"{where}: {problem}"
     return None

@@ -24,7 +24,6 @@ from repro.errors import ExplorationError
 from repro.exploration import EntityKind, EventType, ExtendSide, Goal, explore
 from repro.exploration.events import static_match_mask
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.storage import get_backend
 from repro.testing import GraphSpec, random_temporal_graph, reference_explore
 
 CASES = tuple(itertools.product(EventType, Goal, ExtendSide))
@@ -137,8 +136,12 @@ def test_short_timelines(n_times, entity, attributes, key):
 @pytest.mark.parametrize("axis", ["nodes", "edges"])
 @pytest.mark.parametrize("backend", ["dense", "columnar"])
 def test_empty_entity_axis(wide_graph, axis, backend):
-    storage = get_backend(backend).from_graph(wide_graph)
-    empty = storage.slice_entities(axis, 0, 0).to_graph()
+    empty = wide_graph.restricted(
+        () if axis == "nodes" else wide_graph.nodes,
+        () if axis == "edges" else wide_graph.edges,
+        wide_graph.timeline.labels,
+    ).with_storage(backend)
+    assert len(empty.storage.entity_labels(axis)) == 0
     entity = EntityKind(axis)
     assert_kernel_matches_walk(empty, entity=entity)
     assert_kernel_matches_walk(empty, entity=entity, attributes=("level",))

@@ -477,8 +477,12 @@ def test_presence_bits_contract(test_seed, layout, entity, tmp_path):
 @pytest.mark.parametrize("layout", BITS_LAYOUTS)
 @pytest.mark.parametrize("axis", ["nodes", "edges"])
 def test_presence_bits_on_empty_axes(graph, layout, axis, tmp_path):
-    empty = get_backend("dense").from_graph(graph).slice_entities(axis, 0, 0)
-    storage = _bits_storage(empty.to_graph(), layout, tmp_path)
+    empty = graph.restricted(
+        () if axis == "nodes" else graph.nodes,
+        () if axis == "edges" else graph.edges,
+        graph.timeline.labels,
+    )
+    storage = _bits_storage(empty, layout, tmp_path)
     for entity in ("nodes", "edges"):
         bits = _assert_bits_contract(storage, entity)
         if entity == axis:

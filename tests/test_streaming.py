@@ -1,13 +1,18 @@
 """Tests for streaming ingestion: events, the versioned store and
 delta-maintained views."""
 
+import pickle
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import SnapshotUpdate, aggregate, aggregate_evolution
 from repro.core.graph import TemporalGraphBuilder
 from repro.core.operators import presence_signature
-from repro.core.updates import split_history
+from repro.core.updates import append_snapshot, split_history
 from repro.errors import (
     ExplorationError,
     MaterializationError,
@@ -32,7 +37,14 @@ from repro.streaming import (
     StreamingView,
     batch_events,
 )
-from repro.testing import aggregate_evolution_reference, assert_same_graph
+from repro.testing import (
+    aggregate_evolution_reference,
+    assert_same_graph,
+    carried_state_problem,
+    graph_from_maps,
+    graph_from_updates,
+    graph_to_maps,
+)
 
 
 def make_update(time="t3"):
@@ -370,6 +382,185 @@ class TestExplorationView:
         StreamingStore(paper_graph, views=[view])
         with pytest.raises(ExplorationError):
             view.current_count()
+
+
+def _frames(graph):
+    return [
+        graph.node_presence,
+        graph.edge_presence,
+        graph.static_attrs,
+        *graph.varying_attrs.values(),
+    ]
+
+
+def _held_arrays(graph):
+    """Every array a version holds: its frames' values and its dense
+    backend's carried caches."""
+    storage = graph.storage
+    return [
+        *(frame.values for frame in _frames(graph)),
+        storage.presence_bits("nodes"),
+        storage.presence_bits("edges"),
+        *storage.edge_endpoint_rows(),
+    ]
+
+
+def _assert_from_scratch(version, initial, updates):
+    scratch = graph_from_updates(initial, updates)
+    assert presence_signature(version) == presence_signature(scratch)
+    assert graph_to_maps(version) == graph_to_maps(scratch)
+    assert carried_state_problem(version) is None
+
+
+class TestSharedAppendBuffers:
+    """Versions of one append lineage share capacity buffers: each is a
+    read-only view, and an append writes only cells no version sees."""
+
+    def test_appended_frames_are_read_only(self, paper_graph):
+        version = append_snapshot(paper_graph, make_update())
+        for frame in _frames(version):
+            assert not frame.values.flags.writeable
+            with pytest.raises(ValueError):
+                frame.values[0, 0] = frame.values[0, 0]
+        with pytest.raises(ValueError):
+            version.node_presence.set_cell("u2", "t0", 0)
+
+    def test_appends_at_the_frontier_share_one_buffer(self, paper_graph):
+        first = append_snapshot(paper_graph, make_update("t3"))
+        second = append_snapshot(first, make_update("t4"))
+        for old, new in zip(_frames(first), _frames(second)):
+            assert new.values.base is old.values.base
+        _assert_from_scratch(second, paper_graph, [make_update("t3"), make_update("t4")])
+
+    def test_second_append_to_one_version_copies(self, paper_graph):
+        first = append_snapshot(paper_graph, make_update("t3"))
+        first.storage.presence_bits("edges")
+        before = graph_to_maps(first)
+        other = SnapshotUpdate(time="t4", nodes={"u1": {"publications": 7}})
+        trunk = append_snapshot(first, make_update("t4"))
+        branch = append_snapshot(first, other)
+        assert trunk.edge_presence.values.base is first.edge_presence.values.base
+        assert branch.edge_presence.values.base is not first.edge_presence.values.base
+        assert graph_to_maps(first) == before
+        _assert_from_scratch(trunk, paper_graph, [make_update("t3"), make_update("t4")])
+        _assert_from_scratch(branch, paper_graph, [make_update("t3"), other])
+
+    def test_unpickled_version_appends_into_its_own_buffer(self, paper_graph):
+        first = append_snapshot(paper_graph, make_update("t3"))
+        first.storage.presence_bits("nodes")
+        clone = pickle.loads(pickle.dumps(first))
+        grown = append_snapshot(clone, make_update("t4"))
+        assert grown.node_presence.values.base is not first.node_presence.values.base
+        _assert_from_scratch(grown, paper_graph, [make_update("t3"), make_update("t4")])
+        # The original lineage still owns its frontier.
+        trunk = append_snapshot(first, make_update("t4"))
+        assert trunk.node_presence.values.base is first.node_presence.values.base
+
+    def test_concurrent_appends_to_one_version(self, paper_graph):
+        """Four threads (more than this suite's cores) append four
+        different updates to one version at once, with a short switch
+        interval: each result equals a from-scratch build, the shared
+        version is untouched, and exactly one append wrote in place."""
+        updates = [
+            make_update("t4"),
+            SnapshotUpdate(time="t4", nodes={"u1": {"publications": 7}}),
+            SnapshotUpdate(
+                time="t4",
+                nodes={"u1": {"publications": 1}, "u8": {"publications": 1}},
+                static={"u8": {"gender": "m"}},
+                edges=[("u8", "u1")],
+            ),
+            SnapshotUpdate(time="t4", nodes={}),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                version = append_snapshot(paper_graph, make_update("t3"))
+                version.storage.presence_bits("nodes")
+                version.storage.edge_endpoint_rows()
+                barrier = threading.Barrier(len(updates), timeout=10)
+                results = [None] * len(updates)
+
+                def append(i):
+                    barrier.wait()
+                    results[i] = append_snapshot(version, updates[i])
+
+                threads = [
+                    threading.Thread(target=append, args=(i,))
+                    for i in range(len(updates))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                for result, update in zip(results, updates):
+                    _assert_from_scratch(
+                        result, paper_graph, [make_update("t3"), update]
+                    )
+                _assert_from_scratch(version, paper_graph, [make_update("t3")])
+                in_place = [
+                    r.node_presence.values.base is version.node_presence.values.base
+                    for r in results
+                ]
+                assert in_place.count(True) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.slow
+    def test_history_arrays_stay_within_a_constant_of_the_live_version(self):
+        """10^4 appends to a 4-node graph: every version's arrays stay
+        alive, and together they hold at most ``history_bound`` (3) times
+        the newest version's (its capacity buffers included).
+
+        Capacity doubles an axis only when it runs out, so each buffer a
+        lineage outgrows is at most half the next one, and all of them
+        sum to less than the live one: history <= 2x live.  Copying every
+        version instead would hold ~T^2/2 cells, ~3000x live here.
+        Only numpy data is counted (tracemalloc's numpy domain): the
+        per-version label dicts are copies by design, and holding 10^4
+        of them would be quadratic, so the versions' arrays are kept
+        instead of the graphs."""
+        history_bound = 3
+        nodes = ["a", "b", "c", "d"]
+        pairs = [("a", "b"), ("b", "c"), ("c", "d")]
+        updates = []
+        for t in range(1, 10_001):
+            present = [n for i, n in enumerate(nodes) if (t + i) % 3]
+            updates.append(
+                SnapshotUpdate(
+                    time=t,
+                    nodes={n: {"pubs": t % 5} for n in present},
+                    edges=[(u, v) for u, v in pairs if u in present and v in present],
+                )
+            )
+        tracemalloc.start()
+        try:
+            graph = graph_from_maps(
+                times=[0],
+                node_times={n: [0] for n in nodes},
+                edge_times={("a", "b"): [0]},
+                static={n: {"gender": "f"} for n in nodes},
+                varying={n: {"pubs": {0: 1}} for n in nodes},
+                storage="dense",
+            )
+            held = [_held_arrays(graph)]
+            for i, update in enumerate(updates):
+                graph = append_snapshot(graph, update)
+                held.append(_held_arrays(graph))
+                if i % 1000 == 0:
+                    # Fail before a per-version copy could exhaust memory.
+                    assert tracemalloc.get_traced_memory()[0] < 64 * 2**20
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        history = sum(t.size for t in snapshot.filter_traces([numpy_data]).traces)
+        bases = {id(a.base): a.base for a in held[-1] if a.base is not None}
+        live = sum(base.nbytes for base in bases.values())
+        assert len(bases) == len(held[-1])
+        assert history <= history_bound * live, (history, live)
 
 
 class TestSessionStreaming:
